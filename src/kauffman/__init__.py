@@ -4,24 +4,21 @@ Terms over diapsides, blocks and circles reduce to a unique Jones normal
 form by a strongly normalizing rewrite system; the same monoid is realized
 by planar n-diagrams under stacking composition.  The package provides
 both sides, the translations between them, a decision procedure for the
-word problem, brute-force enumeration oracles, and SVG/ASCII drawings.
+word problem, enumeration of small pairings, terms and normal forms, and
+SVG/ASCII drawings.
 """
 
 from .diagrams import (
     Diagram,
-    ThreadClass,
     circle_diagram,
     compose,
     covers,
     diapsis_diagram,
-    equivalent,
     from_json_dict,
     identity,
     is_planar_pairing,
-    set_construction_hook,
     slope_points,
     span,
-    thread_class,
     to_json_dict,
 )
 from .draw import RenderOptions, canvas_height, render, render_ascii, render_svg

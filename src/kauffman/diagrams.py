@@ -69,9 +69,6 @@ class Diagram:
             )
         if not is_planar_pairing(canon, n):
             raise DomainError("pairing has crossing threads")
-        hook = _construction_hook
-        if hook is not None:
-            hook(self)
 
     @cached_property
     def involution(self) -> dict[int, int]:
@@ -81,34 +78,6 @@ class Diagram:
             inv[a] = b
             inv[b] = a
         return inv
-
-
-# Test hook: called with every freshly validated Diagram when set.
-_construction_hook = None
-
-
-def set_construction_hook(fn) -> None:
-    """Install fn(diagram) to observe every diagram constructed; None clears."""
-    global _construction_hook
-    _construction_hook = fn
-
-
-@dataclass(frozen=True)
-class ThreadClass:
-    kind: str  # "cup" | "cap" | "transversal"
-    vertical: bool = False
-    falling: bool = False
-
-
-def thread_class(pair: tuple[int, int]) -> ThreadClass:
-    """Classify a thread from its two endpoint codes."""
-    a, b = pair
-    if a > 0 and b > 0:
-        return ThreadClass("cup")
-    if a < 0 and b < 0:
-        return ThreadClass("cap")
-    top, bottom = (a, -b) if a > 0 else (b, -a)
-    return ThreadClass("transversal", vertical=top == bottom, falling=top < bottom)
 
 
 def identity(n: int) -> Diagram:
@@ -189,13 +158,6 @@ def compose(bottom: Diagram, top: Diagram) -> Diagram:
     return Diagram(n, tuple(pairs), bottom.circles + top.circles + loops)
 
 
-def equivalent(d1: Diagram, d2: Diagram) -> bool:
-    """Equal pairings and circle counts; sizes must agree."""
-    if d1.n != d2.n:
-        raise DomainError(f"size mismatch: {d1.n} vs {d2.n}")
-    return d1 == d2
-
-
 def span(d: Diagram) -> int:
     """Sum over threads of the distance between their endpoint positions."""
     return sum(abs(abs(a) - abs(b)) for a, b in d.pairs)
@@ -226,19 +188,25 @@ def to_json_dict(d: Diagram) -> dict:
     return {"n": d.n, "pairs": [list(p) for p in d.pairs], "circles": d.circles}
 
 
+def _json_int(value, what: str) -> int:
+    # type() rather than isinstance(): bool is an int subclass and is refused too
+    if type(value) is not int:
+        raise DomainError(f"diagram JSON: {what} must be an integer, got {value!r}")
+    return value
+
+
 def from_json_dict(obj) -> Diagram:
+    """Inverse of to_json_dict; refuses anything but integer n, circles and codes."""
     if not isinstance(obj, dict):
         raise DomainError("diagram JSON must be an object")
     missing = {"n", "pairs", "circles"} - obj.keys()
     if missing:
         raise DomainError(f"diagram JSON lacks keys: {sorted(missing)}")
-    n, pairs, circles = obj["n"], obj["pairs"], obj["circles"]
-    if not isinstance(n, int) or not isinstance(circles, int):
-        raise DomainError("diagram JSON: n and circles must be integers")
-    try:
-        pair_tuples = tuple(
-            (int(a), int(b)) for a, b in pairs  # type: ignore[misc]
-        )
-    except (TypeError, ValueError):
-        raise DomainError("diagram JSON: pairs must be a list of code pairs") from None
+    n = _json_int(obj["n"], "n")
+    circles = _json_int(obj["circles"], "circles")
+    pairs = obj["pairs"]
+    if not isinstance(pairs, list) or not all(
+            isinstance(p, list) and len(p) == 2 for p in pairs):
+        raise DomainError("diagram JSON: pairs must be a list of code pairs")
+    pair_tuples = tuple((_json_int(a, "code"), _json_int(b, "code")) for a, b in pairs)
     return Diagram(n, pair_tuples, circles)

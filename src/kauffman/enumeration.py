@@ -1,8 +1,8 @@
-"""Brute-force enumeration oracles for small sizes.
+"""Enumeration of small planar pairings, terms and normal forms.
 
-These generators exist to cross-check the rest of the package: planar
-pairings are found by exhausting all perfect matchings, short terms and
-small normal forms by direct recursion.  Orders are fixed so that golden
+Circle-free planar diagrams are built from the balanced bracket words of
+length 2n through `parenword_to_pairing`; short terms and small normal
+forms come from direct recursion.  Orders are fixed so that golden
 expectations stay stable: pairings come out lexicographically on their
 canonical pair lists, normal forms sorted by (circles, blocks), and terms
 stream by length and then alphabetically with h^1 < ... < h^{n-1} < c.
@@ -13,38 +13,33 @@ from __future__ import annotations
 from itertools import product
 from typing import Iterator
 
-from .diagrams import Diagram, is_planar_pairing
+# is_planar_pairing is unused here, but perfbench/tracing.py patches this name.
+from .diagrams import Diagram, is_planar_pairing  # noqa: F401
 from .terms import CIRCLE, Block, DomainError, JonesNF, Term
 
 OPEN, CLOSE = "(", ")"
 
 
-def enumerate_pairings(n: int) -> list[Diagram]:
-    """All circle-free planar diagrams on n strands (Catalan many).
+def _bracket_words(n: int) -> Iterator[str]:
+    """All balanced bracket words with n opening and n closing symbols."""
+    def extend(prefix: str, opened: int, closed: int) -> Iterator[str]:
+        if closed == n:
+            yield prefix
+            return
+        if opened < n:
+            yield from extend(prefix + OPEN, opened + 1, closed)
+        if closed < opened:
+            yield from extend(prefix + CLOSE, opened, closed + 1)
 
-    Exhausts every perfect matching of the 2n codes and keeps the planar
-    ones; the generation order is already lexicographic on the canonical
-    pair lists.
-    """
+    return extend("", 0, 0)
+
+
+def enumerate_pairings(n: int) -> list[Diagram]:
+    """All circle-free planar diagrams on n strands (Catalan many)."""
     if n < 1:
         raise DomainError(f"diagram size must be >= 1, got {n}")
-    codes = (*range(-n, 0), *range(1, n + 1))
-    results: list[Diagram] = []
-    chosen: list[tuple[int, int]] = []
-
-    def build(remaining: tuple[int, ...]) -> None:
-        if not remaining:
-            if is_planar_pairing(chosen, n):
-                results.append(Diagram(n, tuple(chosen)))
-            return
-        first = remaining[0]
-        for idx in range(1, len(remaining)):
-            chosen.append((first, remaining[idx]))
-            build(remaining[1:idx] + remaining[idx + 1:])
-            chosen.pop()
-
-    build(codes)
-    return results
+    return sorted((parenword_to_pairing(w, n) for w in _bracket_words(n)),
+                  key=lambda d: d.pairs)
 
 
 def pairing_to_parenword(d: Diagram) -> str:

@@ -18,10 +18,8 @@ A block pair is a redex exactly when i >= k or j >= l.  Firing hI or hcI
 leaves n1 unchanged and decreases n2 by one; every other rule decreases
 n1.  The measure therefore drops lexicographically at each step, so any
 strategy terminates, and a word admits no redex exactly when it is a
-Jones normal form.
-
-The "unit" tag is reserved for unit-elimination; with flat words the unit
-never occurs explicitly, so that rule can never fire.
+Jones normal form.  Words are flat and the unit is the empty word, so
+no rule eliminates units.
 """
 
 from __future__ import annotations
@@ -41,7 +39,7 @@ from .terms import (
     measure_word,
 )
 
-RULES = ("hI", "hII", "hcI", "hcII", "hIII.1", "hIII.2", "hIII.3", "unit")
+RULES = ("hI", "hII", "hcI", "hcII", "hIII.1", "hIII.2", "hIII.3")
 
 STRATEGIES = ("leftmost", "rightmost")
 

@@ -3,6 +3,7 @@
 Each check prints one line; the suite passes only if every check does.
 The checks duplicate the heart of the test suite at scales that finish in
 a few seconds, so a deployed build can be probed without pytest.
+`random_term` is also the test suite's random word generator.
 """
 
 from __future__ import annotations
@@ -24,14 +25,15 @@ from .syntax import format_term, parse
 from .terms import CIRCLE, Block, Term, measure_word, nf_to_term
 
 
-def _random_term(rng: random.Random, max_n: int, max_len: int) -> Term:
+def random_term(rng: random.Random, max_n: int = 12, max_len: int = 100) -> Term:
+    """Random word mixing diapsides, circles and occasional wide blocks."""
     n = rng.randint(2, max_n)
     word = []
     for _ in range(rng.randint(0, max_len)):
         r = rng.random()
-        if r < 0.2:
+        if r < 0.18:
             word.append(CIRCLE)
-        elif r < 0.85 or n == 2:
+        elif r < 0.82 or n == 2:
             i = rng.randint(1, n - 1)
             word.append(Block(i, i))
         else:
@@ -40,18 +42,24 @@ def _random_term(rng: random.Random, max_n: int, max_len: int) -> Term:
     return Term(n, tuple(word))
 
 
+def _expect(condition: bool, *detail: object) -> None:
+    # an explicit raise, unlike assert, survives python -O
+    if not condition:
+        raise AssertionError(*detail)
+
+
 def _check_catalan() -> None:
     expected = {2: 2, 3: 5, 4: 14, 5: 42}
     for n, count in expected.items():
         pairings = enumerate_pairings(n)
-        assert len(pairings) == count, (n, len(pairings))
-        assert len(enumerate_normal_forms(n, 0)) == count
+        _expect(len(pairings) == count, n, len(pairings))
+        _expect(len(enumerate_normal_forms(n, 0)) == count, n)
 
 
 def _check_parenwords() -> None:
     for n in range(1, 6):
         for d in enumerate_pairings(n):
-            assert parenword_to_pairing(pairing_to_parenword(d), n) == d
+            _expect(parenword_to_pairing(pairing_to_parenword(d), n) == d, d)
 
 
 def _check_word_problem() -> None:
@@ -63,36 +71,36 @@ def _check_word_problem() -> None:
         by_diagram.setdefault(delta(t), set()).add(idx)
     partition_nf = {frozenset(s) for s in by_nf.values()}
     partition_diag = {frozenset(s) for s in by_diagram.values()}
-    assert partition_nf == partition_diag
+    _expect(partition_nf == partition_diag)
 
 
 def _check_nf_roundtrip() -> None:
     for f in enumerate_normal_forms(4, 2):
-        assert diagram_to_nf(delta(nf_to_term(f))) == f
+        _expect(diagram_to_nf(delta(nf_to_term(f))) == f, f)
 
 
 def _check_peel() -> None:
     for n in range(2, 5):
         for d in enumerate_pairings(n):
-            assert normal_form(peel(d)) == diagram_to_nf(d)
+            _expect(normal_form(peel(d)) == diagram_to_nf(d), d)
 
 
 def _check_rewriting(trials: int = 150) -> None:
     rng = random.Random(20240307)
     for _ in range(trials):
-        t = _random_term(rng, 8, 40)
+        t = random_term(rng, 8, 40)
         trace = normalize(t)
         for before, after in zip(trace.measures, trace.measures[1:]):
-            assert after < before, (before, after)
-        assert normal_form(t, "rightmost") == trace.output
-        assert measure_word(nf_to_term(trace.output).word) == trace.measures[-1]
+            _expect(after < before, before, after)
+        _expect(normal_form(t, "rightmost") == trace.output, t)
+        _expect(measure_word(nf_to_term(trace.output).word) == trace.measures[-1], t)
 
 
 def _check_parser(trials: int = 200) -> None:
     rng = random.Random(977)
     for _ in range(trials):
-        t = _random_term(rng, 9, 30)
-        assert parse(format_term(t), t.n) == t
+        t = random_term(rng, 9, 30)
+        _expect(parse(format_term(t), t.n) == t, t)
 
 
 CHECKS: tuple[tuple[str, Callable[[], None]], ...] = (

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import random
 from collections import defaultdict
+from dataclasses import dataclass
 
 from hypothesis import strategies as st
 
@@ -15,27 +16,10 @@ from kauffman import (
     Term,
     apply_rule,
     find_redex,
+    is_planar_pairing,
     nf_to_term,
 )
-
-
-def random_term(rng: random.Random, max_n: int = 12, max_len: int = 100,
-                n: int | None = None) -> Term:
-    """Random word mixing diapsides, circles and occasional wide blocks."""
-    if n is None:
-        n = rng.randint(2, max_n)
-    word = []
-    for _ in range(rng.randint(0, max_len)):
-        r = rng.random()
-        if r < 0.18:
-            word.append(CIRCLE)
-        elif r < 0.82 or n == 2:
-            i = rng.randint(1, n - 1)
-            word.append(Block(i, i))
-        else:
-            b = rng.randint(1, n - 1)
-            word.append(Block(b, rng.randint(1, b)))
-    return Term(n, tuple(word))
+from kauffman.selftest import random_term  # noqa: F401  (shared with selftest)
 
 
 def random_nf(rng: random.Random, max_n: int = 10, max_circles: int = 3,
@@ -55,6 +39,24 @@ def random_nf(rng: random.Random, max_n: int = 10, max_circles: int = 3,
         blocks.append((b, a))
         prev_a, prev_b = a, b
     return JonesNF(n, circles, tuple(blocks))
+
+
+@dataclass(frozen=True)
+class ThreadClass:
+    kind: str  # "cup" | "cap" | "transversal"
+    vertical: bool = False
+    falling: bool = False
+
+
+def thread_class(pair: tuple[int, int]) -> ThreadClass:
+    """Classify a thread from its two endpoint codes."""
+    a, b = pair
+    if a > 0 and b > 0:
+        return ThreadClass("cup")
+    if a < 0 and b < 0:
+        return ThreadClass("cap")
+    top, bottom = (a, -b) if a > 0 else (b, -a)
+    return ThreadClass("transversal", vertical=top == bottom, falling=top < bottom)
 
 
 def generators_st(n: int, wide_blocks: bool = True):
@@ -82,6 +84,31 @@ def normal_forms_st(draw, max_n: int = 8, max_circles: int = 3):
     n = draw(st.integers(2, max_n))
     seed = draw(st.integers(0, 2**32 - 1))
     return random_nf(random.Random(seed), n=n, max_circles=max_circles)
+
+
+def brute_force_pairings(n: int) -> list[Diagram]:
+    """Planar pairings by exhausting every perfect matching of the 2n codes.
+
+    Independent of the bracket-word construction; the generation order is
+    already lexicographic on the canonical pair lists.
+    """
+    codes = (*range(-n, 0), *range(1, n + 1))
+    results: list[Diagram] = []
+    chosen: list[tuple[int, int]] = []
+
+    def build(remaining: tuple[int, ...]) -> None:
+        if not remaining:
+            if is_planar_pairing(chosen, n):
+                results.append(Diagram(n, tuple(chosen)))
+            return
+        first = remaining[0]
+        for idx in range(1, len(remaining)):
+            chosen.append((first, remaining[idx]))
+            build(remaining[1:idx] + remaining[idx + 1:])
+            chosen.pop()
+
+    build(codes)
+    return results
 
 
 def compose_oracle(bottom: Diagram, top: Diagram) -> Diagram:

@@ -1,6 +1,6 @@
 """Acceptance criteria, one test per criterion, run in file order.
 
-A construction hook stays installed for the whole module: every diagram
+Diagram.__post_init__ stays wrapped for the whole module: every diagram
 built anywhere in criteria 1-8 is checked on the spot for the structural
 invariants of criterion 9 (cups = caps, even span, even covering, span-1
 cup existence, balanced slope points), and criterion 9 then verifies the
@@ -19,6 +19,7 @@ import pytest
 from kauffman import (
     CIRCLE,
     Circle,
+    Diagram,
     JonesNF,
     Term,
     covers,
@@ -36,7 +37,6 @@ from kauffman import (
     parse,
     peel,
     peel_steps,
-    set_construction_hook,
     slope_points,
     span,
 )
@@ -67,9 +67,15 @@ def _remark_invariants(d) -> None:
 
 @pytest.fixture(scope="module", autouse=True)
 def _observe_every_diagram():
-    set_construction_hook(_remark_invariants)
-    yield
-    set_construction_hook(None)
+    post_init = Diagram.__post_init__
+
+    def checked_post_init(d) -> None:
+        post_init(d)
+        _remark_invariants(d)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(Diagram, "__post_init__", checked_post_init)
+        yield
 
 
 def _report(num: int, name: str) -> None:

@@ -1,5 +1,11 @@
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import kauffman
 
 from kauffman import delta, from_json_dict, parse, to_json_dict
 from kauffman.cli import main
@@ -64,6 +70,14 @@ def test_term_of_slope_and_peel_agree(capsys, monkeypatch):
     assert parse(results[0], 11) == parse(WORKED_EXAMPLE, 11)
 
 
+def test_term_of_rejects_non_integer_codes(capsys, monkeypatch):
+    blob = '{"n":2,"pairs":[["-2","-1"],[1.9,2]],"circles":0}'
+    monkeypatch.setattr("sys.stdin", io.StringIO(blob))
+    code, out, err = run(capsys, "term-of")
+    assert (code, out) == (2, "")
+    assert "error" in err
+
+
 def test_term_of_rejects_bad_json(capsys, monkeypatch):
     monkeypatch.setattr("sys.stdin", io.StringIO("{not json"))
     code, _, err = run(capsys, "term-of")
@@ -95,6 +109,11 @@ def test_enum_nf(capsys):
 def test_count_pairings(capsys):
     code, out, _ = run(capsys, "count", "-n", "4", "--pairings")
     assert (code, out.strip()) == (0, "14")
+
+
+def test_count_pairings_n8(capsys):
+    code, out, _ = run(capsys, "count", "-n", "8", "--pairings")
+    assert (code, out.strip()) == (0, "1430")
 
 
 def test_render_svg(capsys):
@@ -132,3 +151,14 @@ def test_selftest(capsys):
     code, out, _ = run(capsys, "selftest")
     assert code == 0
     assert all(line.startswith("ok") for line in out.strip().splitlines())
+
+
+def test_selftest_reports_failures_under_optimize():
+    # python -O strips assert statements; a broken oracle must still fail
+    src = str(Path(kauffman.__file__).resolve().parents[1])
+    script = ("import io, kauffman.selftest as s\n"
+              "s.enumerate_pairings = lambda n: []\n"
+              "print(s.run(io.StringIO()))\n")
+    proc = subprocess.run([sys.executable, "-O", "-c", script], capture_output=True,
+                          text=True, timeout=120, env={**os.environ, "PYTHONPATH": src})
+    assert (proc.returncode, proc.stdout.strip()) == (0, "False"), proc.stderr

@@ -13,17 +13,15 @@ from kauffman import (
     covers,
     diapsis_diagram,
     enumerate_pairings,
-    equivalent,
     from_json_dict,
     identity,
     is_planar_pairing,
     slope_points,
     span,
-    thread_class,
     to_json_dict,
 )
 
-from helpers import compose_oracle
+from helpers import compose_oracle, thread_class
 
 
 def with_circles(d: Diagram, k: int) -> Diagram:
@@ -134,10 +132,8 @@ def test_diagram_rejects_non_matchings():
 
 def test_equivalence_is_structural_equality():
     h = diapsis_diagram(3, 1)
-    assert equivalent(h, h)
-    assert not equivalent(h, with_circles(h, 1))
-    with pytest.raises(DomainError):
-        equivalent(identity(2), identity(3))
+    assert h == diapsis_diagram(3, 1)
+    assert h != with_circles(h, 1)
 
 
 def test_covers():
@@ -202,6 +198,12 @@ def test_json_format_is_sorted_min_first():
     {"n": "2", "pairs": [[1, 2], [-2, -1]], "circles": 0},
     {"n": 2, "pairs": [[1, -2], [2, -1]], "circles": 0},
     {"n": 2, "pairs": "nope", "circles": 0},
+    {"n": 2, "pairs": [["-2", "-1"], [1.9, 2]], "circles": 0},
+    {"n": 2, "pairs": [[-2, -1], [1, 2]], "circles": True},
+    {"n": True, "pairs": [[-1, 1]], "circles": 0},
+    {"n": 2, "pairs": [[-2, -1], [True, 2]], "circles": 0},
+    {"n": 2, "pairs": [[-2, -1], [1, 2.0]], "circles": 0},
+    {"n": 2, "pairs": [[-2, -1], "12"], "circles": 0},
 ])
 def test_json_validation(obj):
     with pytest.raises(DomainError):

@@ -18,6 +18,8 @@ from kauffman import (
     parenword_to_pairing,
 )
 
+from helpers import brute_force_pairings
+
 
 def balanced_words(n: int) -> list[str]:
     """All balanced bracket words with 2n symbols, by direct recursion."""
@@ -82,10 +84,9 @@ def test_parenword_bijection_up_to_seven():
         assert len(set(diagrams)) == len(words)
         for word, d in zip(words, diagrams):
             assert pairing_to_parenword(d) == word
-    # and against the brute-force enumeration where it is cheap
-    for n in range(1, 7):
-        assert set(enumerate_pairings(n)) == \
-            {parenword_to_pairing(w, n) for w in balanced_words(n)}
+    # the library order against the independent brute-force search
+    for n in range(1, 8):
+        assert enumerate_pairings(n) == brute_force_pairings(n)
 
 
 def test_enumerate_terms_order_and_counts():
