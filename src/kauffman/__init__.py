@@ -10,7 +10,6 @@ SVG/ASCII drawings.
 
 from .diagrams import (
     Diagram,
-    circle_diagram,
     compose,
     covers,
     diapsis_diagram,
@@ -21,7 +20,7 @@ from .diagrams import (
     span,
     to_json_dict,
 )
-from .draw import RenderOptions, canvas_height, render, render_ascii, render_svg
+from .draw import canvas_height, render, render_ascii, render_svg
 from .enumeration import (
     enumerate_normal_forms,
     enumerate_pairings,

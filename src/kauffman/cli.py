@@ -13,7 +13,7 @@ from typing import Sequence
 
 from . import selftest
 from .diagrams import from_json_dict, to_json_dict
-from .draw import RenderOptions, render
+from .draw import render
 from .enumeration import enumerate_normal_forms, enumerate_pairings, enumerate_terms
 from .rewrite import ConsistencyError, format_step, normal_form, normalize
 from .semantics import decide_equal, delta, diagram_to_nf, peel
@@ -84,11 +84,15 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_nf(args) -> int:
-    trace = normalize(parse(args.term, args.n))
+    term = parse(args.term, args.n)
     if args.trace:
+        trace = normalize(term)
         for step in trace.steps:
             print(format_step(step))
-    print(format_term(nf_to_term(trace.output)))
+        nf = trace.output
+    else:
+        nf = normal_form(term)
+    print(format_term(nf_to_term(nf)))
     return 0
 
 
@@ -137,9 +141,7 @@ def _cmd_count(args) -> int:
 
 
 def _cmd_render(args) -> int:
-    unit = args.unit if args.unit is not None else (24.0 if args.format == "svg" else 4.0)
-    opts = RenderOptions(format=args.format, unit=unit, show_labels=args.labels)
-    print(render(delta(parse(args.term, args.n)), opts))
+    print(render(delta(parse(args.term, args.n)), args.format, args.unit, args.labels))
     return 0
 
 

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain
 
 from .terms import DomainError
 
@@ -55,14 +56,17 @@ class Diagram:
 
     def __post_init__(self) -> None:
         n = self.n
+        # type() rather than isinstance(): bool is an int subclass and is refused too
+        if {type(n), type(self.circles), *map(type, chain.from_iterable(self.pairs))} != {int}:
+            raise DomainError("diagram size, circle count and codes must be integers")
         if n < 1:
             raise DomainError(f"diagram size must be >= 1, got {n}")
         if self.circles < 0:
             raise DomainError(f"circle count must be >= 0, got {self.circles}")
         canon = tuple(sorted((min(a, b), max(a, b)) for a, b in self.pairs))
         object.__setattr__(self, "pairs", canon)
-        codes = sorted(c for p in canon for c in p)
-        expected = sorted((*range(-n, 0), *range(1, n + 1)))
+        codes = sorted(chain.from_iterable(canon))
+        expected = [*range(-n, 0), *range(1, n + 1)]
         if codes != expected:
             raise DomainError(
                 f"pairs must match each of the codes -{n}..-1, 1..{n} exactly once"
@@ -92,11 +96,6 @@ def diapsis_diagram(n: int, i: int) -> Diagram:
     pairs = [(i, i + 1), (-(i + 1), -i)]
     pairs.extend((-m, m) for m in range(1, n + 1) if m not in (i, i + 1))
     return Diagram(n, tuple(pairs))
-
-
-def circle_diagram(n: int) -> Diagram:
-    """The identity pairing carrying a single circle."""
-    return Diagram(n, identity(n).pairs, 1)
 
 
 def compose(bottom: Diagram, top: Diagram) -> Diagram:
@@ -188,25 +187,15 @@ def to_json_dict(d: Diagram) -> dict:
     return {"n": d.n, "pairs": [list(p) for p in d.pairs], "circles": d.circles}
 
 
-def _json_int(value, what: str) -> int:
-    # type() rather than isinstance(): bool is an int subclass and is refused too
-    if type(value) is not int:
-        raise DomainError(f"diagram JSON: {what} must be an integer, got {value!r}")
-    return value
-
-
 def from_json_dict(obj) -> Diagram:
-    """Inverse of to_json_dict; refuses anything but integer n, circles and codes."""
+    """Inverse of to_json_dict; the constructor refuses non-integer values."""
     if not isinstance(obj, dict):
         raise DomainError("diagram JSON must be an object")
     missing = {"n", "pairs", "circles"} - obj.keys()
     if missing:
         raise DomainError(f"diagram JSON lacks keys: {sorted(missing)}")
-    n = _json_int(obj["n"], "n")
-    circles = _json_int(obj["circles"], "circles")
     pairs = obj["pairs"]
     if not isinstance(pairs, list) or not all(
             isinstance(p, list) and len(p) == 2 for p in pairs):
         raise DomainError("diagram JSON: pairs must be a list of code pairs")
-    pair_tuples = tuple((_json_int(a, "code"), _json_int(b, "code")) for a, b in pairs)
-    return Diagram(n, pair_tuples, circles)
+    return Diagram(obj["n"], tuple(tuple(p) for p in pairs), obj["circles"])

@@ -13,25 +13,11 @@ from __future__ import annotations
 
 import math
 import xml.etree.ElementTree as ET
-from dataclasses import dataclass
 
 from .diagrams import Diagram
 from .terms import DomainError
 
-FORMATS = ("svg", "ascii")
-
-
-@dataclass(frozen=True)
-class RenderOptions:
-    format: str = "svg"
-    unit: float = 24.0  # pixels per coordinate step (character cells for ascii)
-    show_labels: bool = False
-
-    def __post_init__(self) -> None:
-        if self.format not in FORMATS:
-            raise DomainError(f"format must be one of {FORMATS}, got {self.format!r}")
-        if self.unit <= 0:
-            raise DomainError(f"unit must be positive, got {self.unit}")
+UNITS = {"svg": 24.0, "ascii": 4.0}  # default pixels (svg) or character columns per step
 
 
 def canvas_height(n: int) -> int:
@@ -51,11 +37,17 @@ def _split(d: Diagram):
     return cups, caps, trans
 
 
+def _check_unit(unit: float) -> None:
+    if not (math.isfinite(unit) and unit > 0):
+        raise DomainError(f"unit must be positive and finite, got {unit}")
+
+
 def _fmt(x: float) -> str:
     return f"{x:.6g}"
 
 
-def render_svg(d: Diagram, unit: float = 24.0, show_labels: bool = False) -> str:
+def render_svg(d: Diagram, unit: float = UNITS["svg"], show_labels: bool = False) -> str:
+    _check_unit(unit)
     n, height = d.n, canvas_height(d.n)
 
     def x(pos: float) -> float:
@@ -118,7 +110,8 @@ def render_svg(d: Diagram, unit: float = 24.0, show_labels: bool = False) -> str
     return ET.tostring(root, encoding="unicode")
 
 
-def render_ascii(d: Diagram, unit: float = 4.0, show_labels: bool = False) -> str:
+def render_ascii(d: Diagram, unit: float = UNITS["ascii"], show_labels: bool = False) -> str:
+    _check_unit(unit)
     n = d.n
     cols = max(2, round(unit))
     cups, caps, trans = _split(d)
@@ -182,9 +175,10 @@ def render_ascii(d: Diagram, unit: float = 4.0, show_labels: bool = False) -> st
     return "\n".join(lines)
 
 
-def render(d: Diagram, opts: RenderOptions | None = None) -> str:
-    """Render a diagram in the requested format."""
-    opts = opts or RenderOptions()
-    if opts.format == "svg":
-        return render_svg(d, opts.unit, opts.show_labels)
-    return render_ascii(d, opts.unit, opts.show_labels)
+def render(d: Diagram, format: str = "svg", unit: float | None = None,
+           show_labels: bool = False) -> str:
+    """Render a diagram as svg or ascii; unit defaults to the format's UNITS entry."""
+    if format not in UNITS:
+        raise DomainError(f"format must be one of {tuple(UNITS)}, got {format!r}")
+    draw = render_svg if format == "svg" else render_ascii
+    return draw(d, UNITS[format] if unit is None else unit, show_labels)

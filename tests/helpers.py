@@ -15,7 +15,11 @@ from kauffman import (
     JonesNF,
     Term,
     apply_rule,
+    compose,
+    diapsis_diagram,
+    expand,
     find_redex,
+    identity,
     is_planar_pairing,
     nf_to_term,
 )
@@ -158,6 +162,21 @@ def compose_oracle(bottom: Diagram, top: Diagram) -> Diagram:
             assert len(free) == 2
             pairs.append(tuple(sorted(free)))
     return Diagram(n, tuple(pairs), bottom.circles + top.circles + loops)
+
+
+def compose_fold(t: Term) -> Diagram:
+    """delta by its definition: stack one generator diagram per factor.
+
+    Blocks are expanded into diapsides; the first factor ends up at the
+    bottom, and a circle is the identity pairing carrying one circle.
+    """
+    acc = identity(t.n)
+    for g in expand(t).word:
+        if isinstance(g, Block):
+            acc = compose(acc, diapsis_diagram(t.n, g.upper))
+        else:
+            acc = compose(acc, Diagram(t.n, identity(t.n).pairs, 1))
+    return acc
 
 
 def naive_leftmost_steps(t: Term):

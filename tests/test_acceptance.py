@@ -4,8 +4,11 @@ Diagram.__post_init__ stays wrapped for the whole module: every diagram
 built anywhere in criteria 1-8 is checked on the spot for the structural
 invariants of criterion 9 (cups = caps, even span, even covering, span-1
 cup existence, balanced slope points), and criterion 9 then verifies the
-tally.  Each test prints one pass line (visible with pytest -s; pytest -v
-reports per-criterion pass/fail regardless).
+tally.  delta builds a single diagram per word, so the criteria interpret
+words through `_delta`, which also builds the states of delta's fold (the
+diagram of every prefix) and each factor's own diagram for the check.
+Each test prints one pass line (visible with pytest -s; pytest -v reports
+per-criterion pass/fail regardless).
 """
 
 from __future__ import annotations
@@ -78,6 +81,14 @@ def _observe_every_diagram():
         yield
 
 
+def _delta(t: Term) -> Diagram:
+    """delta(t), after building every prefix's and every factor's diagram."""
+    for k, g in enumerate(t.word):
+        delta(Term(t.n, t.word[:k]))
+        delta(Term(t.n, (g,)))
+    return delta(t)
+
+
 def _report(num: int, name: str) -> None:
     print(f"PASS criterion {num:02d}: {name}")
 
@@ -107,7 +118,7 @@ def test_criterion_01_worked_example(capsys):
     for _ in range(50):
         t = _scramble(rng, WORKED_NF)
         assert normal_form(t) == WORKED_NF
-        assert diagram_to_nf(delta(t)) == WORKED_NF
+        assert diagram_to_nf(_delta(t)) == WORKED_NF
     for _ in range(3):
         t = _scramble(rng, WORKED_NF)
         assert main(["nf", "-n", "11", format_term(t)]) == 0
@@ -126,7 +137,7 @@ def test_criterion_02_exhaustive_word_problem():
     by_diagram: dict = {}
     for idx, t in enumerate(terms):
         by_nf.setdefault(normal_form(t), set()).add(idx)
-        by_diagram.setdefault(delta(t), set()).add(idx)
+        by_diagram.setdefault(_delta(t), set()).add(idx)
     partition_nf = {frozenset(s) for s in by_nf.values()}
     partition_diagram = {frozenset(s) for s in by_diagram.values()}
     assert partition_nf == partition_diagram
@@ -178,7 +189,7 @@ def test_criterion_05_strategy_independence():
 
 @lru_cache(maxsize=None)
 def _delta_words_equal(n: int, before: tuple, after: tuple) -> bool:
-    return delta(Term(n, before)) == delta(Term(n, after))
+    return _delta(Term(n, before)) == _delta(Term(n, after))
 
 
 def test_criterion_06_per_step_soundness():
@@ -197,7 +208,7 @@ def test_criterion_07_slope_points_recover_normal_forms():
     rng = random.Random(CORPUS_SEED + 7)
     for _ in range(500):
         f = random_nf(rng, max_n=10, max_circles=3)
-        top, bottom = slope_points(delta(nf_to_term(f)))
+        top, bottom = slope_points(_delta(nf_to_term(f)))
         assert top == tuple(a for _, a in f.blocks), f
         assert bottom == tuple(b for b, _ in f.blocks), f
     _report(7, "slope points match 500 random normal forms")

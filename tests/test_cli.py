@@ -7,7 +7,7 @@ from pathlib import Path
 
 import kauffman
 
-from kauffman import delta, from_json_dict, parse, to_json_dict
+from kauffman import delta, from_json_dict, parse, render, render_ascii, to_json_dict
 from kauffman.cli import main
 
 WORKED_EXAMPLE = "c^6 h[3,1] h[4,4] h[7,7] h[9,8] h[10,9]"
@@ -42,6 +42,15 @@ def test_nf_worked_example_is_a_fixed_point(capsys):
     assert code == 0
     assert out.strip() == printed
     assert parse(printed, 11) == parse(WORKED_EXAMPLE, 11)
+
+
+def test_nf_without_trace_skips_trace_mode(capsys, monkeypatch):
+    def refuse(term):
+        raise AssertionError("nf without --trace ran trace-mode normalize")
+
+    monkeypatch.setattr("kauffman.cli.normalize", refuse)
+    code, out, _ = run(capsys, "nf", "-n", "2", "h1 h1")
+    assert (code, out) == (0, "c h1\n")
 
 
 def test_nf_trace(capsys):
@@ -126,6 +135,22 @@ def test_render_ascii(capsys):
     code, out, _ = run(capsys, "render", "-n", "3", "h1 c", "--format", "ascii")
     assert code == 0
     assert "o" in out
+
+
+def test_render_ascii_default_unit_matches_library(capsys):
+    d = delta(parse("h[3,1] c", 5))
+    code, out, _ = run(capsys, "render", "-n", "5", "h[3,1] c", "--format", "ascii")
+    assert (code, out) == (0, render(d, format="ascii") + "\n")
+    assert out == render_ascii(d) + "\n"
+
+
+def test_render_rejects_non_finite_unit(capsys):
+    for fmt in ("svg", "ascii"):
+        for unit in ("nan", "inf", "0"):
+            code, out, err = run(capsys, "render", "-n", "3", "h1", "--format", fmt,
+                                 "--unit", unit)
+            assert (code, out) == (2, ""), (fmt, unit)
+            assert "unit" in err
 
 
 def test_parse_error_exit_code_and_position(capsys):

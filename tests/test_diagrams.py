@@ -8,14 +8,15 @@ from hypothesis import strategies as st
 from kauffman import (
     Diagram,
     DomainError,
-    circle_diagram,
     compose,
     covers,
+    delta,
     diapsis_diagram,
     enumerate_pairings,
     from_json_dict,
     identity,
     is_planar_pairing,
+    parse,
     slope_points,
     span,
     to_json_dict,
@@ -59,12 +60,10 @@ def test_diapsis_diagram_rejects_bad_index():
 
 
 def test_circle_diagram():
-    d = circle_diagram(4)
-    assert d.pairs == identity(4).pairs
-    assert d.circles == 1
-    assert compose(circle_diagram(4), identity(4)).circles == 1
-    stacked = compose(circle_diagram(4), circle_diagram(4))
-    assert stacked.circles == 2
+    c = with_circles(identity(4), 1)
+    assert delta(parse("c", 4)) == c
+    assert compose(c, identity(4)).circles == 1
+    assert compose(c, c) == with_circles(identity(4), 2) == delta(parse("c c", 4))
 
 
 def test_compose_closes_a_loop():
@@ -128,6 +127,12 @@ def test_diagram_rejects_non_matchings():
         Diagram(2, ((1, 2),))
     with pytest.raises(DomainError):
         Diagram(2, ((1, 2), (-1, -3)))
+    # size, circle count and codes must be int itself: bool, float and str are refused
+    for args in [(True, ((-1, 1),), True), (1, ((-1, 1),), True), (1.0, ((-1, 1),)),
+                 ("1", ((-1, 1),)), (1, ((-1, 1),), 0.0), (2, ((-2, -1), (1, 2.0))),
+                 (2, ((-2, -1), (True, 2))), (2, ((-2, -1), ("1", 2)))]:
+        with pytest.raises(DomainError):
+            Diagram(*args)
 
 
 def test_equivalence_is_structural_equality():

@@ -5,7 +5,6 @@ import pytest
 from kauffman import (
     Diagram,
     DomainError,
-    RenderOptions,
     canvas_height,
     delta,
     diapsis_diagram,
@@ -64,8 +63,7 @@ def test_svg_element_counts_match_thread_classes():
 
 
 def test_svg_labels_toggle():
-    opts = RenderOptions(show_labels=True)
-    counts = svg_counts(render(identity(4), opts))
+    counts = svg_counts(render(identity(4), show_labels=True))
     assert counts["text"] == 8
     assert svg_counts(render(identity(4)))["text"] == 0
 
@@ -74,28 +72,30 @@ def test_ascii_charset_and_circle_count():
     for n in range(2, 5):
         for base in enumerate_pairings(n):
             d = Diagram(base.n, base.pairs, 3)
-            art = render(d, RenderOptions(format="ascii"))
+            art = render(d, format="ascii")
             assert set(art) <= ALLOWED_ASCII
             assert art.count("o") == 3
 
 
 def test_ascii_touches_every_top_position():
-    art = render(delta(parse("h1 h3 c", 4)), RenderOptions(format="ascii", unit=4))
+    art = render(delta(parse("h1 h3 c", 4)), format="ascii", unit=4)
     top = art.splitlines()[0]
     # every thread reaches the top boundary, so row 0 holds n marks
     assert sum(1 for ch in top if ch in "|/\\") == 4
 
 
 def test_ascii_labels():
-    art = render(identity(3), RenderOptions(format="ascii", show_labels=True))
+    art = render(identity(3), format="ascii", show_labels=True)
     assert art.splitlines()[0].count("1") == 1
 
 
 def test_render_options_validation():
     with pytest.raises(DomainError):
-        RenderOptions(format="png")
-    with pytest.raises(DomainError):
-        RenderOptions(unit=0)
+        render(identity(2), format="png")
+    for fmt in ("svg", "ascii"):
+        for unit in (0, -1.0, float("nan"), float("inf")):
+            with pytest.raises(DomainError):
+                render(identity(2), format=fmt, unit=unit)
 
 
 def test_svg_is_well_formed_for_tall_diagrams():

@@ -1,3 +1,4 @@
+import random
 from itertools import product
 
 import pytest
@@ -31,7 +32,7 @@ from kauffman import (
     span,
 )
 
-from helpers import normal_forms_st, terms_st
+from helpers import compose_fold, normal_forms_st, terms_st
 
 WORKED_EXAMPLE = "c^6 h[3,1] h[4,4] h[7,7] h[9,8] h[10,9]"
 
@@ -74,8 +75,34 @@ def test_delta_block_matches_diapsis_expansion():
     for n in range(2, 8):
         for b in range(1, n):
             for a in range(1, b + 1):
-                word = tuple(Block(i, i) for i in range(b, a - 1, -1))
-                assert delta_block(n, b, a) == delta(Term(n, word))
+                assert delta_block(n, b, a) == compose_fold(Term(n, (Block(b, a),)))
+
+
+@settings(max_examples=300)
+@given(terms_st(max_n=9, max_len=30))
+def test_delta_matches_compose_fold(t):
+    assert delta(t) == compose_fold(t)
+
+
+def test_delta_constructs_one_diagram(monkeypatch):
+    rng = random.Random(1600)
+    word = []
+    for _ in range(1600):
+        b = rng.randint(1, 31)
+        word.append(rng.choice([CIRCLE, Block(b, b), Block(b, rng.randint(1, b))]))
+    t = Term(32, tuple(word))
+    expected = compose_fold(t)
+    built = []
+    post_init = Diagram.__post_init__
+
+    def counting_post_init(d) -> None:
+        built.append(d)
+        post_init(d)
+
+    monkeypatch.setattr(Diagram, "__post_init__", counting_post_init)
+    d = delta(t)
+    assert len(built) == 1 and built[0] is d
+    assert d == expected
 
 
 def test_delta_block_range_check():
