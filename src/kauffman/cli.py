@@ -14,7 +14,12 @@ from typing import Sequence
 from . import selftest
 from .diagrams import from_json_dict, to_json_dict
 from .draw import render
-from .enumeration import enumerate_normal_forms, enumerate_pairings, enumerate_terms
+from .enumeration import (
+    count_pairings,
+    enumerate_normal_forms,
+    enumerate_pairings,
+    enumerate_terms,
+)
 from .rewrite import ConsistencyError, format_step, normal_form, normalize
 from .semantics import decide_equal, delta, diagram_to_nf, peel
 from .syntax import ParseError, format_term, parse
@@ -136,7 +141,7 @@ def _cmd_enum(args) -> int:
 
 
 def _cmd_count(args) -> int:
-    print(len(enumerate_pairings(args.n)))
+    print(count_pairings(args.n))
     return 0
 
 

@@ -22,6 +22,9 @@ OPEN, CLOSE = "(", ")"
 
 def _bracket_words(n: int) -> Iterator[str]:
     """All balanced bracket words with n opening and n closing symbols."""
+    if n < 1:
+        raise DomainError(f"diagram size must be >= 1, got {n}")
+
     def extend(prefix: str, opened: int, closed: int) -> Iterator[str]:
         if closed == n:
             yield prefix
@@ -36,10 +39,17 @@ def _bracket_words(n: int) -> Iterator[str]:
 
 def enumerate_pairings(n: int) -> list[Diagram]:
     """All circle-free planar diagrams on n strands (Catalan many)."""
-    if n < 1:
-        raise DomainError(f"diagram size must be >= 1, got {n}")
     return sorted((parenword_to_pairing(w, n) for w in _bracket_words(n)),
                   key=lambda d: d.pairs)
+
+
+def count_pairings(n: int) -> int:
+    """Number of circle-free planar diagrams on n strands.
+
+    Counts the balanced bracket words as they stream out, so no diagram is
+    built and memory stays O(n) generator frames.
+    """
+    return sum(1 for _ in _bracket_words(n))
 
 
 def pairing_to_parenword(d: Diagram) -> str:

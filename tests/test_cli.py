@@ -7,7 +7,15 @@ from pathlib import Path
 
 import kauffman
 
-from kauffman import delta, from_json_dict, parse, render, render_ascii, to_json_dict
+from kauffman import (
+    Diagram,
+    delta,
+    from_json_dict,
+    parse,
+    render,
+    render_ascii,
+    to_json_dict,
+)
 from kauffman.cli import main
 
 WORKED_EXAMPLE = "c^6 h[3,1] h[4,4] h[7,7] h[9,8] h[10,9]"
@@ -58,6 +66,44 @@ def test_nf_trace(capsys):
     assert code == 0
     lines = out.strip().splitlines()
     assert lines == ["hcII@0: h1 h1 => c h1", "c h1"]
+
+
+# A scramble of the worked example whose trace fires every circle rule.
+WORKED_SCRAMBLE = "h3 h4 h4 c^2 h7 c^3 h2 h9 h8 h1 h10 h9"
+WORKED_SCRAMBLE_TRACE = """\
+hcII@1: h4 h4 => c h4
+hcI@0: h3 c => c h3
+hcI@2: h4 c => c h4
+hcI@1: h3 c => c h3
+hcI@3: h4 c => c h4
+hcI@2: h3 c => c h3
+hcI@5: h7 c => c h7
+hcI@4: h4 c => c h4
+hcI@3: h3 c => c h3
+hcI@6: h7 c => c h7
+hcI@5: h4 c => c h4
+hcI@4: h3 c => c h3
+hcI@7: h7 c => c h7
+hcI@6: h4 c => c h4
+hcI@5: h3 c => c h3
+hI@8: h7 h2 => h2 h7
+hI@7: h4 h2 => h2 h4
+hII@6: h3 h2 => h[3,2]
+hII@9: h9 h8 => h[9,8]
+hI@9: h[9,8] h1 => h1 h[9,8]
+hI@8: h7 h1 => h1 h7
+hI@7: h4 h1 => h1 h4
+hII@6: h[3,2] h1 => h[3,1]
+hII@10: h10 h9 => h[10,9]
+c^6 h[3,1] h4 h7 h[9,8] h[10,9]
+"""
+
+
+def test_nf_trace_worked_scramble_text(capsys):
+    code, out, _ = run(capsys, "nf", "-n", "11", WORKED_SCRAMBLE, "--trace")
+    assert (code, out) == (0, WORKED_SCRAMBLE_TRACE)
+    code, out, _ = run(capsys, "nf", "-n", "11", WORKED_SCRAMBLE)
+    assert (code, out) == (0, WORKED_SCRAMBLE_TRACE.splitlines()[-1] + "\n")
 
 
 def test_diagram_json(capsys):
@@ -123,6 +169,18 @@ def test_count_pairings(capsys):
 def test_count_pairings_n8(capsys):
     code, out, _ = run(capsys, "count", "-n", "8", "--pairings")
     assert (code, out.strip()) == (0, "1430")
+
+
+def test_count_pairings_builds_no_diagram(capsys, monkeypatch):
+    def refuse(d):
+        raise AssertionError("count --pairings constructed a Diagram")
+
+    monkeypatch.setattr(Diagram, "__post_init__", refuse)
+    code, out, _ = run(capsys, "count", "-n", "11", "--pairings")
+    assert (code, out) == (0, "58786\n")
+    code, out, err = run(capsys, "count", "-n", "0", "--pairings")
+    assert (code, out) == (2, "")
+    assert "error" in err
 
 
 def test_render_svg(capsys):

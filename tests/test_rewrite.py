@@ -1,3 +1,5 @@
+import tracemalloc
+from collections import Counter
 from itertools import product
 
 import pytest
@@ -16,8 +18,12 @@ from kauffman import (
     measure,
     measure_word,
     normal_form,
+    nf_to_term,
     normalize,
+    parse,
+    rewrite,
 )
+from kauffman.rewrite import STRATEGIES
 
 from helpers import is_jones_shape, naive_leftmost_steps, replay, terms_st
 
@@ -150,6 +156,56 @@ def test_trace_measures_match_recomputation(t):
     assert len(trace.measures) == len(intermediates)
     for term, recorded in zip(intermediates, trace.measures):
         assert measure_word(term.word) == recorded
+
+
+@pytest.mark.parametrize("strategy", STRATEGIES)
+@settings(max_examples=100)
+@given(t=terms_st(max_n=40, max_len=30))
+def test_incremental_measures_match_recount_for_both_strategies(strategy, t):
+    """Both scan orders keep counts that agree with the definition, on wide
+    blocks over many strands and with circles anywhere."""
+    trace = normalize(t, strategy)
+    intermediates = replay(trace)
+    assert len(trace.measures) == len(intermediates)
+    for term, recorded in zip(intermediates, trace.measures):
+        assert measure_word(term.word) == recorded
+
+
+def test_normalize_on_huge_n_keeps_counts_sparse():
+    """Trace mode on 10^5 strands: dominance counts sized by the word, not n^2."""
+    t = parse("h99998 h1 h50000 h49999 h50000 c h3", 100000)
+    tracemalloc.start()
+    try:
+        trace = normalize(t)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    steps, final = naive_leftmost_steps(t)
+    assert [(s.position, s.rule) for s in trace.steps] == steps
+    assert nf_to_term(trace.output) == final
+    assert peak < 2_000_000, peak
+
+
+def test_normal_form_counts_circles_instead_of_moving_them(monkeypatch):
+    """normal_form fires no hcI; trace mode still records every hcI step."""
+    fired = Counter()
+    rhs = rewrite._rhs
+
+    def counting_rhs(x, y, rule):
+        fired[rule] += 1
+        return rhs(x, y, rule)
+
+    monkeypatch.setattr(rewrite, "_rhs", counting_rhs)
+    t = parse("h2 c^3 h1 c h3 h2 c^2 h2 h2 c h1 h3 c^4", 4)
+    nf = normal_form(t)
+    assert fired["hcI"] == 0 and fired["hcII"] > 0
+    assert nf.circles == 11 + fired["hcII"]
+    fired.clear()
+    trace = normalize(t)
+    hcI_steps = sum(step.rule == "hcI" for step in trace.steps)
+    assert hcI_steps > 0
+    assert fired["hcI"] == hcI_steps
+    assert trace.output == nf
 
 
 @settings(max_examples=150)
