@@ -7,7 +7,10 @@ point (i, 0) as -i, so a diagram is a perfect matching on
 {-n..-1, 1..n} together with a circle count.  A matching is planar iff
 the closed integer intervals spanned by its pairs are pairwise disjoint
 or nested, equivalently iff the matching reads as a balanced bracket
-sequence in code order -n .. -1, 1 .. n.
+sequence in code order -n .. -1, 1 .. n.  `Diagram` validates by that
+one walk in code order over the code -> partner map, which it keeps as
+`involution`; the walk also yields the pairs in canonical order (sorted,
+min code first).
 
 Because two diagrams are equal as equivalence classes exactly when their
 pairings and circle counts agree, equality of `Diagram` values is plain
@@ -21,28 +24,18 @@ position.  The *span* of a thread is the distance between its positions.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import cached_property
+from dataclasses import dataclass, field
 from itertools import chain
 
 from .terms import DomainError
 
 
 def is_planar_pairing(pairs, n: int) -> bool:
-    """Balanced-bracket check of a perfect matching on {-n..-1, 1..n}."""
-    partner: dict[int, int] = {}
-    for a, b in pairs:
-        partner[a] = b
-        partner[b] = a
-    stack: list[int] = []
-    for code in (*range(-n, 0), *range(1, n + 1)):
-        mate = partner[code]
-        if mate > code:
-            stack.append(code)
-        elif not stack or stack[-1] != mate:
-            return False
-        else:
-            stack.pop()
+    """Whether the pairs make an n-diagram: `Diagram`'s one walk in code order."""
+    try:
+        Diagram(n, pairs)
+    except DomainError:
+        return False
     return True
 
 
@@ -53,6 +46,7 @@ class Diagram:
     n: int
     pairs: tuple[tuple[int, int], ...]
     circles: int = 0
+    involution: dict[int, int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         n = self.n
@@ -63,25 +57,25 @@ class Diagram:
             raise DomainError(f"diagram size must be >= 1, got {n}")
         if self.circles < 0:
             raise DomainError(f"circle count must be >= 0, got {self.circles}")
-        canon = tuple(sorted((min(a, b), max(a, b)) for a, b in self.pairs))
-        object.__setattr__(self, "pairs", canon)
-        codes = sorted(chain.from_iterable(canon))
-        expected = [*range(-n, 0), *range(1, n + 1)]
-        if codes != expected:
-            raise DomainError(
-                f"pairs must match each of the codes -{n}..-1, 1..{n} exactly once"
-            )
-        if not is_planar_pairing(canon, n):
-            raise DomainError("pairing has crossing threads")
-
-    @cached_property
-    def involution(self) -> dict[int, int]:
-        """Code -> partner code, for O(1) lookups."""
-        inv: dict[int, int] = {}
+        partner: dict[int, int] = {}
         for a, b in self.pairs:
-            inv[a] = b
-            inv[b] = a
-        return inv
+            partner[a] = b
+            partner[b] = a
+        # n pairs over 2n distinct nonzero codes in -n..n cover each code once
+        if (len(self.pairs) != n or len(partner) != 2 * n or 0 in partner
+                or min(partner) < -n or max(partner) > n):
+            raise DomainError(f"pairs must match each of the codes -{n}..-1, 1..{n} exactly once")
+        stack: list[int] = []
+        canon: list[tuple[int, int]] = []
+        for code in chain(range(-n, 0), range(1, n + 1)):
+            mate = partner[code]
+            if mate > code:
+                stack.append(code)
+                canon.append((code, mate))
+            elif stack.pop() != mate:  # mate was pushed: the stack is not empty
+                raise DomainError("pairing has crossing threads")
+        object.__setattr__(self, "pairs", tuple(canon))
+        object.__setattr__(self, "involution", partner)
 
 
 def identity(n: int) -> Diagram:

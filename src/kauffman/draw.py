@@ -6,7 +6,8 @@ transversal.  Circles are stacked along the left margin.  SVG output uses
 only line, path (arc commands), circle and text elements, so drawings can
 be checked by counting elements: one line per transversal, one arc per
 cup or cap, one small circle per circle component.  ASCII output is a
-coarse raster over the characters | / \\ _ o.
+coarse raster over the characters | / \\ _ o; a raster of more than
+MAX_ASCII_CELLS cells is refused with DomainError.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ from .diagrams import Diagram
 from .terms import DomainError
 
 UNITS = {"svg": 24.0, "ascii": 4.0}  # default pixels (svg) or character columns per step
+MAX_ASCII_CELLS = 4_000_000  # largest ascii raster, rows times columns
 
 
 def canvas_height(n: int) -> int:
@@ -132,6 +134,8 @@ def render_ascii(d: Diagram, unit: float = UNITS["ascii"], show_labels: bool = F
         return margin + (pos - 1) * cols
 
     width = x(n) + 2
+    if rows * width > MAX_ASCII_CELLS:
+        raise DomainError(f"ascii drawing of {rows} x {width} cells exceeds {MAX_ASCII_CELLS}")
     grid = [[" "] * width for _ in range(rows)]
 
     for top, bottom in trans:

@@ -115,14 +115,15 @@ def peel_steps(d: Diagram) -> Iterator[tuple[int, Diagram]]:
     Consumes the circle-free pairing only; the caller accounts for circles.
     """
     current = Diagram(d.n, d.pairs, 0)
-    while span(current) > 0:
+    size = span(current)
+    while size > 0:
         j, nxt = _peel_once(current)
-        if span(nxt) != span(current) - 2:
+        if span(nxt) != size - 2:
             raise ConsistencyError("peel step changed the span by != 2")
         if compose(nxt, diapsis_diagram(d.n, j)) != current:
             raise ConsistencyError("peel step does not recompose")
         yield j, nxt
-        current = nxt
+        current, size = nxt, size - 2
 
 
 def _peel_once(d: Diagram) -> tuple[int, Diagram]:

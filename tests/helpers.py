@@ -5,6 +5,7 @@ from __future__ import annotations
 import random
 from collections import defaultdict
 from dataclasses import dataclass
+from itertools import combinations
 
 from hypothesis import strategies as st
 
@@ -113,6 +114,24 @@ def brute_force_pairings(n: int) -> list[Diagram]:
 
     build(codes)
     return results
+
+
+def is_exact_cover(pairs, n: int) -> bool:
+    """Whether the codes of the pairs are -n..-1, 1..n, each exactly once."""
+    return sorted(c for pair in pairs for c in pair) == [*range(-n, 0), *range(1, n + 1)]
+
+
+def is_planar_matching(pairs, n: int) -> bool:
+    """The diagrams module's definition of an n-diagram's pairing, read literally.
+
+    The pairs cover the codes exactly once, and the closed intervals they
+    span are pairwise disjoint or nested.
+    """
+    if not is_exact_cover(pairs, n):
+        return False
+    intervals = [(min(pair), max(pair)) for pair in pairs]
+    return all(hi1 < lo2 or hi2 < lo1 or lo1 < lo2 < hi2 < hi1 or lo2 < lo1 < hi1 < hi2
+               for (lo1, hi1), (lo2, hi2) in combinations(intervals, 2))
 
 
 def compose_oracle(bottom: Diagram, top: Diagram) -> Diagram:

@@ -133,6 +133,14 @@ def test_term_of_rejects_non_integer_codes(capsys, monkeypatch):
     assert "error" in err
 
 
+def test_term_of_rejects_oversized_n(capsys, monkeypatch):
+    blob = '{"n": 1000000000, "pairs": [[-1, 1]], "circles": 0}'
+    monkeypatch.setattr("sys.stdin", io.StringIO(blob))
+    code, out, err = run(capsys, "term-of")
+    assert (code, out) == (2, "")
+    assert "error" in err
+
+
 def test_term_of_rejects_bad_json(capsys, monkeypatch):
     monkeypatch.setattr("sys.stdin", io.StringIO("{not json"))
     code, _, err = run(capsys, "term-of")
@@ -209,6 +217,13 @@ def test_render_rejects_non_finite_unit(capsys):
                                  "--unit", unit)
             assert (code, out) == (2, ""), (fmt, unit)
             assert "unit" in err
+
+
+def test_render_ascii_refuses_a_raster_past_the_cell_budget(capsys):
+    code, out, err = run(capsys, "render", "-n", "3", "h1", "--format", "ascii",
+                         "--unit", "1500")
+    assert (code, out) == (2, "")
+    assert "cells" in err
 
 
 def test_parse_error_exit_code_and_position(capsys):

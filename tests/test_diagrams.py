@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 from itertools import product
 
 import pytest
@@ -22,7 +23,7 @@ from kauffman import (
     to_json_dict,
 )
 
-from helpers import compose_oracle, thread_class
+from helpers import compose_oracle, is_exact_cover, is_planar_matching, thread_class
 
 
 def with_circles(d: Diagram, k: int) -> Diagram:
@@ -213,6 +214,76 @@ def test_json_format_is_sorted_min_first():
 def test_json_validation(obj):
     with pytest.raises(DomainError):
         from_json_dict(obj)
+
+
+def test_oversized_json_size_is_refused_without_allocating():
+    tracemalloc.start()
+    try:
+        with pytest.raises(DomainError):
+            from_json_dict({"n": 10**6, "pairs": [], "circles": 0})
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+
+
+def _planar_matching(draw, codes: list[int]) -> list[tuple[int, int]]:
+    """A planar matching of the codes: the first one pairs across an even stretch."""
+    if not codes:
+        return []
+    k = 2 * draw(st.integers(0, len(codes) // 2 - 1)) + 1
+    return ([(codes[0], codes[k])] + _planar_matching(draw, codes[1:k])
+            + _planar_matching(draw, codes[k + 1:]))
+
+
+@st.composite
+def pair_lists_st(draw):
+    """Shuffled, flipped pair lists over codes -n-1..n+1, valid or damaged."""
+    n = draw(st.integers(1, 7))
+    codes = [*range(-n, 0), *range(1, n + 1)]
+    code = st.integers(-n - 1, n + 1)
+    source = draw(st.sampled_from(["planar", "planar", "matching", "arbitrary"]))
+    if source == "planar":
+        pairs = _planar_matching(draw, codes)
+    elif source == "matching":
+        order = draw(st.permutations(codes))
+        pairs = [(order[k], order[k + 1]) for k in range(0, 2 * n, 2)]
+    else:
+        pairs = draw(st.lists(st.tuples(code, code), min_size=n - 1, max_size=n + 1))
+    pairs = [(b, a) if draw(st.booleans()) else (a, b) for a, b in draw(st.permutations(pairs))]
+    damage = draw(st.sampled_from(["none", "none", "recode", "drop", "add", "swap"]))
+    if damage == "recode" and pairs:
+        i = draw(st.integers(0, len(pairs) - 1))
+        pairs[i] = (pairs[i][0], draw(code))
+    elif damage == "drop" and pairs:
+        del pairs[draw(st.integers(0, len(pairs) - 1))]
+    elif damage == "add":
+        pairs.append(draw(st.tuples(code, code)))
+    elif damage == "swap" and len(pairs) > 1:
+        i, j = draw(st.permutations(range(len(pairs))))[:2]
+        (a, b), (c, e) = pairs[i], pairs[j]
+        pairs[i], pairs[j] = (a, e), (c, b)
+    return n, tuple(pairs)
+
+
+@settings(max_examples=400)
+@given(pair_lists_st())
+def test_walk_accepts_exactly_the_planar_matchings(case):
+    n, pairs = case
+    planar = is_planar_matching(pairs, n)
+    assert is_planar_pairing(pairs, n) == planar
+    if not planar:
+        with pytest.raises(DomainError) as refused:
+            Diagram(n, pairs)
+        # a pairing that misses a code is reported as such, crossing or not
+        assert ("crossing" in str(refused.value)) == is_exact_cover(pairs, n)
+        return
+    d = Diagram(n, pairs)
+    assert d.pairs == tuple(sorted((min(p), max(p)) for p in pairs))
+    assert d.involution == {**dict(pairs), **{b: a for a, b in pairs}}
+    other = Diagram(n, tuple((b, a) for a, b in reversed(pairs)))
+    assert other == d and hash(other) == hash(d)
+    assert "involution" not in repr(d)
 
 
 def test_is_planar_pairing_direct():

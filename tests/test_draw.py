@@ -12,6 +12,7 @@ from kauffman import (
     identity,
     parse,
     render,
+    render_ascii,
 )
 
 ALLOWED_ASCII = set("|/\\_o \n")
@@ -96,6 +97,15 @@ def test_render_options_validation():
         for unit in (0, -1.0, float("nan"), float("inf")):
             with pytest.raises(DomainError):
                 render(identity(2), format=fmt, unit=unit)
+
+
+def test_ascii_raster_is_bounded():
+    # about 4.5 M cells from the unit; about 5.8 M from the nested cups and caps at n = 600
+    rainbow = Diagram(600, tuple(p for i in range(1, 301)
+                                 for p in ((i, 601 - i), (-(601 - i), -i))))
+    for d, unit in [(diapsis_diagram(3, 1), 1500), (rainbow, 4)]:
+        with pytest.raises(DomainError, match="cells"):
+            render_ascii(d, unit=unit)
 
 
 def test_svg_is_well_formed_for_tall_diagrams():
