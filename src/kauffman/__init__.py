@@ -11,7 +11,6 @@ SVG/ASCII drawings.
 from .diagrams import (
     Diagram,
     compose,
-    covers,
     diapsis_diagram,
     from_json_dict,
     identity,
@@ -29,7 +28,6 @@ from .enumeration import (
     parenword_to_pairing,
 )
 from .rewrite import (
-    RULES,
     STRATEGIES,
     ConsistencyError,
     NormalizationTrace,
@@ -41,7 +39,6 @@ from .rewrite import (
     normalize,
 )
 from .semantics import (
-    EqualityVerdict,
     decide_equal,
     delta,
     delta_block,
@@ -62,7 +59,6 @@ from .terms import (
     block_weight,
     expand,
     make_block,
-    measure,
     measure_word,
     nf_to_term,
 )

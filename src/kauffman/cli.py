@@ -102,10 +102,10 @@ def _cmd_nf(args) -> int:
 
 
 def _cmd_eq(args) -> int:
-    verdict = decide_equal(parse(args.term_t, args.n), parse(args.term_u, args.n),
-                           cross_check=args.cross_check)
-    print("equal" if verdict.equal else "not-equal")
-    return 0 if verdict.equal else 1
+    equal = decide_equal(parse(args.term_t, args.n), parse(args.term_u, args.n),
+                         cross_check=args.cross_check)
+    print("equal" if equal else "not-equal")
+    return 0 if equal else 1
 
 
 def _cmd_diagram(args) -> int:

@@ -156,12 +156,6 @@ def span(d: Diagram) -> int:
     return sum(abs(abs(a) - abs(b)) for a, b in d.pairs)
 
 
-def covers(pair: tuple[int, int], m: int) -> bool:
-    """Whether the thread reaches from position <= m across to position >= m+1."""
-    lo, hi = sorted((abs(pair[0]), abs(pair[1])))
-    return lo <= m and m + 1 <= hi
-
-
 def slope_points(d: Diagram) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """Ascending top and bottom slope sequences (T, B).
 

@@ -48,8 +48,6 @@ from .terms import (
     block_weight,
 )
 
-RULES = ("hI", "hII", "hcI", "hcII", "hIII.1", "hIII.2", "hIII.3")
-
 STRATEGIES = ("leftmost", "rightmost")
 
 

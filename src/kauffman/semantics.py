@@ -14,36 +14,32 @@ Two extraction procedures invert delta on normal forms:
   ones, and the circle count carries over.
 
 * `peel` works geometrically: it strips circles, then repeatedly detaches
-  a diapsis from the top edge.  Among the span-1 cups it takes the one at
-  the greatest position j; some other thread must also cover (j, j+1),
-  and exactly one of four shapes applies: another cup, a falling
-  transversal, a rising transversal, or a cap (planarity forbids a mix of
-  falling and rising coverers).  Rewiring that thread with the cup splits
-  off H^j, shrinking the span by exactly 2, and appends h^j as the
-  rightmost factor of the extracted word.
+  a diapsis from the top edge.  It takes the span-1 cup at the greatest
+  position j and cuts straight down from it to the bottom edge.  Left of
+  the cut lie 2j codes; one of them is the cup's end j, so the other
+  2j - 1 cannot pair among themselves and some thread crosses the cut.
+  The first one crossed, L-R, is rewired with the cup into (L, j) and
+  (j+1, R): the inverse of one local move of `delta`, which splits off
+  H^j, shrinks the span by exactly 2 and appends h^j as the rightmost
+  factor of the extracted word.  The choice is forced: for a thread
+  L'-R' crossed further down, L' and R' lie outside L-R along the
+  boundary, so the new thread (L', j) would cross L-R.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from itertools import chain
 from typing import Iterator
 
 from .diagrams import (
     Diagram,
     compose,
-    covers,
     diapsis_diagram,
     slope_points,
     span,
 )
 from .rewrite import ConsistencyError, normal_form
 from .terms import CIRCLE, Block, DomainError, JonesNF, Term
-
-
-@dataclass(frozen=True)
-class EqualityVerdict:
-    equal: bool
-    witness: tuple[JonesNF, JonesNF]
 
 
 def delta_block(n: int, b: int, a: int) -> Diagram:
@@ -83,7 +79,7 @@ def delta(t: Term) -> Diagram:
     return Diagram(n, tuple((c, m) for c, m in mate.items() if c < m), circles)
 
 
-def decide_equal(t: Term, u: Term, cross_check: bool = False) -> EqualityVerdict:
+def decide_equal(t: Term, u: Term, cross_check: bool = False) -> bool:
     """Decide t = u in K_n by comparing Jones normal forms.
 
     With cross_check the diagram route runs as well; a disagreement would
@@ -91,16 +87,14 @@ def decide_equal(t: Term, u: Term, cross_check: bool = False) -> EqualityVerdict
     """
     if t.n != u.n:
         raise DomainError(f"size mismatch: {t.n} vs {u.n}")
-    nf_t = normal_form(t)
-    nf_u = normal_form(u)
-    equal = nf_t == nf_u
+    equal = normal_form(t) == normal_form(u)
     if cross_check:
         diagram_equal = delta(t) == delta(u)
         if diagram_equal != equal:
             raise ConsistencyError(
                 f"normal-form and diagram routes disagree on {t} vs {u}"
             )
-    return EqualityVerdict(equal, (nf_t, nf_u))
+    return equal
 
 
 def diagram_to_nf(d: Diagram) -> JonesNF:
@@ -114,57 +108,28 @@ def peel_steps(d: Diagram) -> Iterator[tuple[int, Diagram]]:
 
     Consumes the circle-free pairing only; the caller accounts for circles.
     """
-    current = Diagram(d.n, d.pairs, 0)
+    n = d.n
+    current = Diagram(n, d.pairs, 0)
     size = span(current)
     while size > 0:
-        j, nxt = _peel_once(current)
+        mate = dict(current.involution)
+        j = next((i for i in range(n - 1, 0, -1) if mate[i] == i + 1), None)
+        if j is None:
+            raise ConsistencyError("positive span but no span-1 cup")
+        # the cut's left side, nearest the cup first: top j-1..1, then bottom 1..j
+        left = next((c for c in chain(range(j - 1, 0, -1), range(-1, -j - 1, -1))
+                     if abs(mate[c]) > j), None)
+        if left is None:
+            raise ConsistencyError("cup covered by no other thread")
+        right = mate[left]
+        mate[left], mate[j], mate[right], mate[j + 1] = j, left, j + 1, right
+        nxt = Diagram(n, tuple((c, m) for c, m in mate.items() if c < m))
         if span(nxt) != size - 2:
             raise ConsistencyError("peel step changed the span by != 2")
-        if compose(nxt, diapsis_diagram(d.n, j)) != current:
+        if compose(nxt, diapsis_diagram(n, j)) != current:
             raise ConsistencyError("peel step does not recompose")
         yield j, nxt
         current, size = nxt, size - 2
-
-
-def _peel_once(d: Diagram) -> tuple[int, Diagram]:
-    inv = d.involution
-    n = d.n
-    cups_1 = [i for i in range(1, n) if inv.get(i) == i + 1]
-    if not cups_1:
-        raise ConsistencyError("positive span but no span-1 cup")
-    j = max(cups_1)
-    cup = (j, j + 1)
-
-    coverers = [p for p in d.pairs if p != cup and covers(p, j)]
-    cups = [p for p in coverers if p[0] > 0]
-    caps = [p for p in coverers if p[1] < 0]
-    trans = [p for p in coverers if p[0] < 0 < p[1]]
-
-    if cups:
-        lo, hi = max(cups)  # innermost covering cup: greatest left end
-        ends = (lo, hi)
-    elif trans:
-        falling = [p for p in trans if p[1] < -p[0]]  # top end left of bottom end
-        rising = [p for p in trans if p[1] > -p[0]]
-        if falling and rising:
-            raise ConsistencyError("both falling and rising threads cover a cup")
-        if falling:
-            lo, hi = max(falling, key=lambda p: p[1])   # greatest top end
-            ends = (hi, lo)                             # (left end, right end)
-        else:
-            lo, hi = min(rising, key=lambda p: -p[0])   # least bottom end
-            ends = (lo, hi)
-    elif caps:
-        lo, hi = min(caps, key=lambda p: -p[1])         # least left end
-        ends = (hi, lo)
-    else:
-        raise ConsistencyError("cup covered by no other thread")
-
-    removed = {cup, tuple(sorted(ends))}
-    pairs = [p for p in d.pairs if p not in removed]
-    pairs.append((ends[0], j))
-    pairs.append((j + 1, ends[1]))
-    return j, Diagram(n, tuple(pairs), 0)
 
 
 def peel(d: Diagram) -> Term:

@@ -43,6 +43,9 @@ Generator = Block | Circle
 
 
 def _check_block(n: int, b: int, a: int) -> None:
+    # type() rather than isinstance(): bool is an int subclass and is refused too
+    if type(b) is not int or type(a) is not int:
+        raise DomainError(f"block indices must be integers, got [{b!r},{a!r}]")
     if a < 1:
         raise DomainError(f"lower block index must be >= 1, got {a}")
     if b > n - 1:
@@ -52,6 +55,8 @@ def _check_block(n: int, b: int, a: int) -> None:
 
 
 def _check_size(n: int) -> None:
+    if type(n) is not int:
+        raise DomainError(f"monoid size must be an integer, got {n!r}")
     if n < 2:
         raise DomainError(f"monoid size must be >= 2, got {n}")
 
@@ -100,6 +105,8 @@ class JonesNF:
 
     def __post_init__(self) -> None:
         _check_size(self.n)
+        if type(self.circles) is not int:
+            raise DomainError(f"circle count must be an integer, got {self.circles!r}")
         if self.circles < 0:
             raise DomainError(f"circle count must be >= 0, got {self.circles}")
         object.__setattr__(self, "blocks", tuple(tuple(p) for p in self.blocks))
@@ -153,11 +160,6 @@ def measure_word(word: tuple[Generator, ...]) -> Measure:
         else:
             n2 += seen
     return Measure(n1, n2)
-
-
-def measure(t: Term) -> Measure:
-    """Complexity measure of a term."""
-    return measure_word(t.word)
 
 
 def nf_to_term(f: JonesNF) -> Term:

@@ -64,6 +64,12 @@ def thread_class(pair: tuple[int, int]) -> ThreadClass:
     return ThreadClass("transversal", vertical=top == bottom, falling=top < bottom)
 
 
+def covers(pair: tuple[int, int], m: int) -> bool:
+    """Whether the thread reaches from position <= m across to position >= m+1."""
+    lo, hi = sorted((abs(pair[0]), abs(pair[1])))
+    return lo <= m and m + 1 <= hi
+
+
 def generators_st(n: int, wide_blocks: bool = True):
     options = [
         st.integers(1, n - 1).map(lambda i: Block(i, i)),

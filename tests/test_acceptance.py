@@ -25,7 +25,6 @@ from kauffman import (
     Diagram,
     JonesNF,
     Term,
-    covers,
     delta,
     diagram_to_nf,
     enumerate_normal_forms,
@@ -45,7 +44,7 @@ from kauffman import (
 )
 from kauffman.cli import main
 
-from helpers import random_nf, random_term, replay
+from helpers import covers, random_nf, random_term, replay
 
 WORKED_NF = JonesNF(11, 6, ((3, 1), (4, 4), (7, 7), (9, 8), (10, 9)))
 WORKED_TEXT = "c^6 h[3,1] h4 h7 h[9,8] h[10,9]"

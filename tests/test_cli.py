@@ -154,6 +154,12 @@ def test_enum_terms(capsys):
     assert out.splitlines() == ["1", "h1", "h2", "c"]
 
 
+def test_enum_terms_rejects_negative_length(capsys):
+    code, out, err = run(capsys, "enum", "-n", "3", "--terms", "-5")
+    assert (code, out) == (2, "")
+    assert "error" in err
+
+
 def test_enum_pairings_json_lines(capsys):
     code, out, _ = run(capsys, "enum", "-n", "3", "--pairings")
     assert code == 0

@@ -10,7 +10,6 @@ from kauffman import (
     Diagram,
     DomainError,
     compose,
-    covers,
     delta,
     diapsis_diagram,
     enumerate_pairings,
@@ -23,7 +22,7 @@ from kauffman import (
     to_json_dict,
 )
 
-from helpers import compose_oracle, is_exact_cover, is_planar_matching, thread_class
+from helpers import compose_oracle, covers, is_exact_cover, is_planar_matching, thread_class
 
 
 def with_circles(d: Diagram, k: int) -> Diagram:

@@ -133,4 +133,6 @@ def test_enumeration_rejects_bad_arguments():
     with pytest.raises(DomainError):
         list(enumerate_terms(1, 3))
     with pytest.raises(DomainError):
+        list(enumerate_terms(3, -1))
+    with pytest.raises(DomainError):
         enumerate_normal_forms(3, -1)

@@ -15,7 +15,6 @@ from kauffman import (
     delta,
     find_redex,
     format_step,
-    measure,
     measure_word,
     normal_form,
     nf_to_term,
@@ -105,7 +104,7 @@ def test_classification_complete_and_sound_for_all_block_pairs():
             out = apply_rule(t, position, rule)
             assert delta(out) == delta(t)
             # rule discipline on the local measure
-            m_before, m_after = measure(t), measure(out)
+            m_before, m_after = measure_word(t.word), measure_word(out.word)
             if rule in ("hI", "hcI"):
                 assert m_after.n1 == m_before.n1 and m_after.n2 < m_before.n2
             else:

@@ -22,6 +22,7 @@ from kauffman import (
     enumerate_terms,
     expand,
     identity,
+    is_planar_pairing,
     nf_to_term,
     normal_form,
     normalize,
@@ -111,15 +112,13 @@ def test_delta_block_range_check():
 
 
 def test_decide_equal_examples():
-    assert decide_equal(parse("h1 h1", 2), parse("c h1", 2)).equal
-    assert not decide_equal(parse("h1", 3), parse("h2", 3)).equal
-    assert decide_equal(parse("h2 h1 h2", 3), parse("h2", 3)).equal
+    assert decide_equal(parse("h1 h1", 2), parse("c h1", 2)) is True
+    assert decide_equal(parse("h1", 3), parse("h2", 3)) is False
+    assert decide_equal(parse("h2 h1 h2", 3), parse("h2", 3)) is True
 
 
-def test_decide_equal_witness_and_cross_check():
-    verdict = decide_equal(parse("h1 h1", 2), parse("c h1", 2), cross_check=True)
-    assert verdict.equal
-    assert verdict.witness == (JonesNF(2, 1, ((1, 1),)),) * 2
+def test_decide_equal_cross_check():
+    assert decide_equal(parse("h1 h1", 2), parse("c h1", 2), cross_check=True) is True
     with pytest.raises(DomainError):
         decide_equal(Term(2), Term(3))
 
@@ -212,6 +211,29 @@ def test_peel_steps_shrink_span_by_two():
                 assert span(rest) == previous - 2
                 previous = span(rest)
             assert previous == 0
+
+
+def test_peel_cut_is_the_only_planar_split():
+    # splitting any other thread around the cup, in either orientation,
+    # either crosses a thread or does not shrink the span by two
+    steps = 0
+    for n in range(1, 8):
+        for d in enumerate_pairings(n):
+            current = d
+            for j, nxt in peel_steps(d):
+                rest = [p for p in current.pairs if p != (j, j + 1)]
+                splits = []
+                for p in rest:
+                    others = [q for q in rest if q != p]
+                    for end, other_end in (p, p[::-1]):
+                        pairs = others + [(end, j), (j + 1, other_end)]
+                        if (is_planar_pairing(pairs, n)
+                                and span(Diagram(n, pairs)) == span(current) - 2):
+                            splits.append(Diagram(n, pairs))
+                assert splits == [nxt], (current, j)
+                current = nxt
+                steps += 1
+    assert steps == 3108
 
 
 def test_peel_recomposes():

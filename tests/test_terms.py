@@ -10,7 +10,7 @@ from kauffman import (
     Term,
     expand,
     make_block,
-    measure,
+    measure_word,
     nf_to_term,
 )
 
@@ -44,6 +44,24 @@ def test_term_validates_blocks_against_size():
         Term(1, ())
 
 
+@pytest.mark.parametrize("build", [
+    lambda: Term(3, (Block(True, True), Block(1.5, 1))),
+    lambda: Term(3, (Block(1.5, 1),)),
+    lambda: Term(3, (Block("2", 1),)),
+    lambda: Term(3.0),
+    lambda: JonesNF(3, True),
+    lambda: JonesNF(3, 1.0),
+    lambda: JonesNF(3.0, 0, ((2.0, 1),)),
+    lambda: JonesNF(3, 0, ((2, 1.0),)),
+    lambda: JonesNF("3"),
+], ids=["bool-and-float-index", "float-index", "str-index", "float-size",
+        "bool-circles", "float-circles", "float-size-and-index", "float-nf-index",
+        "str-nf-size"])
+def test_sizes_circles_and_indices_must_be_integers(build):
+    with pytest.raises(DomainError):
+        build()
+
+
 def test_expand_unit_and_singulars():
     assert expand(Term(5)).word == ()
     t = Term(3, (CIRCLE, Block(2, 2)))
@@ -52,22 +70,22 @@ def test_expand_unit_and_singulars():
 
 def test_measure_of_single_block():
     # weight of h^[2,1] is 2 - 1 + 2 = 3, nothing to its right
-    assert measure(Term(3, (Block(2, 1),))) == Measure(3, 0)
+    assert measure_word((Block(2, 1),)) == Measure(3, 0)
 
 
 def test_measure_of_unit():
-    assert measure(Term(2)) == Measure(0, 0)
+    assert measure_word(()) == Measure(0, 0)
 
 
 def test_measure_counts_blocks_left_of_circles():
     # one block of weight 2; the circle has one block on its left
-    assert measure(Term(2, (Block(1, 1), CIRCLE))) == Measure(2, 1)
+    assert measure_word((Block(1, 1), CIRCLE)) == Measure(2, 1)
 
 
 def test_measure_mixed_word():
     # h2 h1 c h3: weights 2+2+2; h2 dominates h1; the circle follows two blocks
     t = Term(4, (Block(2, 2), Block(1, 1), CIRCLE, Block(3, 3)))
-    assert measure(t) == Measure(6, 3)
+    assert measure_word(t.word) == Measure(6, 3)
 
 
 def test_measure_orders_lexicographically():
@@ -77,11 +95,11 @@ def test_measure_orders_lexicographically():
 
 @given(terms_st())
 def test_measure_positive_on_block_words(t):
-    n1, _ = measure(t)
+    n1, _ = measure_word(t.word)
     if any(isinstance(g, Block) for g in t.word):
         assert n1 > 0
     elif not t.word:
-        assert measure(t) == Measure(0, 0)
+        assert measure_word(t.word) == Measure(0, 0)
 
 
 def test_nf_to_term_worked_example():
