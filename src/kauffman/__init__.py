@@ -40,9 +40,11 @@ from .rewrite import (
 )
 from .semantics import (
     decide_equal,
+    decide_nf,
     delta,
     delta_block,
     diagram_to_nf,
+    nf_by_diagram,
     peel,
     peel_steps,
 )

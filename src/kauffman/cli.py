@@ -21,7 +21,7 @@ from .enumeration import (
     enumerate_terms,
 )
 from .rewrite import ConsistencyError, format_step, normal_form, normalize
-from .semantics import decide_equal, delta, diagram_to_nf, peel
+from .semantics import decide_equal, decide_nf, delta, diagram_to_nf, peel
 from .syntax import ParseError, format_term, parse
 from .terms import DomainError, nf_to_term
 
@@ -49,7 +49,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("term_t")
     p.add_argument("term_u")
     p.add_argument("--cross-check", action="store_true",
-                   help="also compare the interpreting diagrams")
+                   help="run both the diagram route and the rewriting")
     p.set_defaults(func=_cmd_eq)
 
     p = add("diagram", "print the diagram of a term as JSON")
@@ -96,7 +96,7 @@ def _cmd_nf(args) -> int:
             print(format_step(step))
         nf = trace.output
     else:
-        nf = normal_form(term)
+        nf = decide_nf(term)
     print(format_term(nf_to_term(nf)))
     return 0
 

@@ -26,6 +26,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import chain
+from typing import Iterable
 
 from .terms import DomainError
 
@@ -164,10 +165,24 @@ def slope_points(d: Diagram) -> tuple[tuple[int, ...], tuple[int, ...]]:
     to its left.  Reading T as lower indices and B as upper indices
     recovers the Jones normal form of the diagram.
     """
-    inv = d.involution
-    top = tuple(i for i in range(1, d.n + 1) if abs(inv[i]) > i)
-    bottom = tuple(j - 1 for j in range(1, d.n + 1) if abs(inv[-j]) < j)
-    return top, bottom
+    return slope_points_of(d.involution.items())
+
+
+def slope_points_of(mates: Iterable[tuple[int, int]]) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """`slope_points` of (code, partner) items, one per code.
+
+    A vertical thread (-i, i) is never a slope point, so the items may
+    leave out any of them.
+    """
+    top, bottom = [], []
+    for c, m in mates:
+        if 0 < c < abs(m):
+            top.append(c)
+        elif abs(m) < -c:
+            bottom.append(-c - 1)
+    top.sort()
+    bottom.sort()
+    return tuple(top), tuple(bottom)
 
 
 def to_json_dict(d: Diagram) -> dict:

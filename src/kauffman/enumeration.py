@@ -85,15 +85,17 @@ def parenword_to_pairing(word: str, n: int) -> Diagram:
 
 
 def enumerate_terms(n: int, max_len: int) -> Iterator[Term]:
-    """Stream all words over the diapsides and the circle, shortest first."""
+    """Stream all words over the diapsides and the circle, shortest first.
+
+    The arguments are checked at the call, before the stream starts.
+    """
     if n < 2:
         raise DomainError(f"monoid size must be >= 2, got {n}")
     if max_len < 0:
         raise DomainError(f"term length bound must be >= 0, got {max_len}")
     alphabet = [Block(i, i) for i in range(1, n)] + [CIRCLE]
-    for length in range(max_len + 1):
-        for word in product(alphabet, repeat=length):
-            yield Term(n, word)
+    return (Term(n, word) for length in range(max_len + 1)
+            for word in product(alphabet, repeat=length))
 
 
 def _block_sequences(n: int) -> list[tuple[tuple[int, int], ...]]:

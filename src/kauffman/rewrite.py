@@ -29,6 +29,13 @@ that circles are central (h^[i,j] c = c h^[i,j]): it counts the circles
 of the input and of every hcII as an integer and rewrites only the
 blocks, so it never fires hcI and each step costs O(1) plus the list
 splice.
+
+The word problem is decided by the diagram route
+(`semantics.nf_by_diagram`) for most words; this module is the reference
+that follows the paper.  `normalize` serves `nf --trace`, and
+`normal_form` serves `semantics.decide_nf` on words of wide blocks, the
+cross-check of `decide_equal`, `term-of --method peel` and the oracles
+of the test suite and `selftest`.
 """
 
 from __future__ import annotations

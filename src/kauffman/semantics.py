@@ -7,6 +7,16 @@ wrong; it is pinned by the compose(H^1, H^2) example in the test suite.
 `delta` rewires the stack's top edge per generator instead of calling
 `compose`; the test suite checks it against the `compose` fold.
 
+The monoid given by generators and relations is isomorphic to the
+diagram monoid, so a word's Jones normal form can be read off its
+diagram: `nf_by_diagram` does so in one rewiring pass over the expanded
+word, however many rewrite steps the word would need.  The rewriting of
+`rewrite`, which follows the paper, is the reference and rewrites blocks
+whole.  `decide_nf`, and so the word problem, takes the diagram route
+unless the word's blocks are too wide for it; `decide_equal(...,
+cross_check=True)` runs both routes and raises ConsistencyError if they
+disagree.
+
 Two extraction procedures invert delta on normal forms:
 
 * `diagram_to_nf` reads the slope points directly: sorted bottom slope
@@ -36,10 +46,13 @@ from .diagrams import (
     compose,
     diapsis_diagram,
     slope_points,
+    slope_points_of,
     span,
 )
 from .rewrite import ConsistencyError, normal_form
 from .terms import CIRCLE, Block, DomainError, JonesNF, Term
+
+DIAGRAM_ROUTE_WIDTH = 16  # mean diapsides per block up to which `decide_nf` reads the diagram
 
 
 def delta_block(n: int, b: int, a: int) -> Diagram:
@@ -52,18 +65,27 @@ def delta_block(n: int, b: int, a: int) -> Diagram:
     return delta(Term(n, (Block(b, a),)))
 
 
-def delta(t: Term) -> Diagram:
-    """The diagram of the word, first factor at the bottom.
+class _Mates(dict):
+    """Code -> partner map of the touched codes; an absent code c is paired with -c."""
 
-    One pass over the word keeps the code -> partner involution of the
-    stack built so far and its circle count.  A circle adds one to the
-    count.  Stacking H^i on top joins the threads that end at top points i
-    and i+1, or closes a circle when they are one cup, and then puts a new
-    cup at (i, i+1).  A block h^[b,a] stacks H^b, H^(b-1), ..., H^a in
-    that order.
+    def __missing__(self, code: int) -> int:
+        return -code
+
+
+def _rewire(t: Term) -> tuple[dict[int, int], int]:
+    """The code -> partner involution of the word's diagram and its circle count.
+
+    One pass over the word, first factor at the bottom.  A circle adds one
+    to the count.  Stacking H^i on top joins the threads that end at top
+    points i and i+1, or closes a circle when they are one cup, and then
+    puts a new cup at (i, i+1).  A block h^[b,a] stacks H^b, H^(b-1), ...,
+    H^a in that order.  The map holds only the codes the word touches, and
+    its keys are closed under the partner map; every absent code c is on
+    the vertical thread (c, -c).  So the pass costs O(1) per diapsis of the
+    expanded word, sum(b - a + 1) over its blocks, and nothing per untouched
+    strand.
     """
-    n = t.n
-    mate = {c: -c for c in range(-n, n + 1) if c}  # identity: top i to bottom -i
+    mate = _Mates()
     circles = 0
     for g in t.word:
         if not isinstance(g, Block):
@@ -76,25 +98,72 @@ def delta(t: Term) -> Diagram:
             else:
                 mate[left], mate[right] = right, left
             mate[i], mate[i + 1] = i + 1, i
-    return Diagram(n, tuple((c, m) for c, m in mate.items() if c < m), circles)
+    return mate, circles
+
+
+def delta(t: Term) -> Diagram:
+    """The diagram of the word, first factor at the bottom.
+
+    `_rewire`'s touched threads plus the untouched verticals, built into
+    one validated `Diagram`: O(n) on top of the pass.
+    """
+    mate, circles = _rewire(t)
+    pairs = [(c, m) for c, m in mate.items() if c < m]
+    pairs.extend((-i, i) for i in range(1, t.n + 1) if i not in mate)
+    return Diagram(t.n, tuple(pairs), circles)
+
+
+def nf_by_diagram(t: Term) -> JonesNF:
+    """The Jones normal form of the word, read off its diagram.
+
+    Reads the slope points of `diagram_to_nf` off `_rewire`'s touched
+    entries only: a vertical thread is never a slope point, so no
+    `Diagram` is built and an untouched strand costs nothing.  The cost,
+    in time and in memory, is that of the pass: the expanded length
+    sum(b - a + 1) over the word's blocks.  A wide block such as h[n-1,1]
+    thus costs O(n) here, while `normal_form` rewrites blocks whole;
+    `decide_nf` picks between the two.
+    """
+    mate, circles = _rewire(t)
+    top, bottom = slope_points_of(mate.items())
+    return JonesNF(t.n, circles, tuple(zip(bottom, top)))
+
+
+def decide_nf(t: Term) -> JonesNF:
+    """The Jones normal form of the word, by the route its shape favours.
+
+    The diagram route (`nf_by_diagram`) costs the expanded length; the
+    cost of the rewriting (`normal_form`) does not grow with the widths
+    of the blocks.  The diagram decides while the expanded length is at
+    most DIAGRAM_ROUTE_WIDTH times the number of blocks, so its time and
+    memory stay within a fixed multiple of the word's length; wider
+    words, such as h[n-1,1] at a large n, are rewritten.
+    """
+    widths = [g.upper - g.lower + 1 for g in t.word if isinstance(g, Block)]
+    if sum(widths) <= DIAGRAM_ROUTE_WIDTH * len(widths):
+        return nf_by_diagram(t)
+    return normal_form(t)
 
 
 def decide_equal(t: Term, u: Term, cross_check: bool = False) -> bool:
-    """Decide t = u in K_n by comparing Jones normal forms.
+    """Decide t = u in K_n by comparing Jones normal forms (`decide_nf`).
 
-    With cross_check the diagram route runs as well; a disagreement would
-    falsify the normal-form theory and raises ConsistencyError.
+    With cross_check both routes, the diagram (`nf_by_diagram`) and the
+    rewriting (`normal_form`), run on both terms; if they disagree on
+    either normal form, the isomorphism between the two monoids is
+    falsified and ConsistencyError is raised.
     """
     if t.n != u.n:
         raise DomainError(f"size mismatch: {t.n} vs {u.n}")
-    equal = normal_form(t) == normal_form(u)
-    if cross_check:
-        diagram_equal = delta(t) == delta(u)
-        if diagram_equal != equal:
+    if not cross_check:
+        return decide_nf(t) == decide_nf(u)
+    nf_t, nf_u = nf_by_diagram(t), nf_by_diagram(u)
+    for term, nf in ((t, nf_t), (u, nf_u)):
+        if normal_form(term) != nf:
             raise ConsistencyError(
-                f"normal-form and diagram routes disagree on {t} vs {u}"
+                f"diagram and rewriting routes disagree on the normal form of {term}"
             )
-    return equal
+    return nf_t == nf_u
 
 
 def diagram_to_nf(d: Diagram) -> JonesNF:

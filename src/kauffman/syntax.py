@@ -8,6 +8,10 @@ between factors):
 
 "1" contributes the empty word, "c^k" is k circles, "hi" is the diapsis
 h^i and "h[b,a]" the block with upper index b and lower index a.
+
+A word longer than MAX_WORD_LENGTH factors, circle powers counted in
+full, is refused with a ParseError before it is built, so a short text
+such as "c^1000000000" allocates nothing of its power's size.
 """
 
 from __future__ import annotations
@@ -15,6 +19,8 @@ from __future__ import annotations
 import re
 
 from .terms import CIRCLE, Circle, DomainError, Generator, Term, make_block
+
+MAX_WORD_LENGTH = 10**6  # factors in a parsed word, after circle powers are unboxed
 
 
 class ParseError(ValueError):
@@ -38,6 +44,16 @@ _TOKEN = re.compile(
 )
 
 
+def _nat(m: re.Match, group: str, bound: int) -> int | None:
+    """The group's number, or None when it has more digits than `bound`.
+
+    Deciding by the digit count keeps int() off long numbers, which the
+    interpreter's digit limit may or may not let it convert.
+    """
+    digits = m.group(group).lstrip("0") or "0"
+    return int(digits) if len(digits) <= len(str(bound)) else None
+
+
 def parse(text: str, n: int) -> Term:
     """Parse a term of K_n; raises ParseError or DomainError."""
     if n < 2:
@@ -48,21 +64,27 @@ def parse(text: str, n: int) -> Term:
         m = _TOKEN.match(text, pos)
         if m is None:
             raise ParseError(pos, f"unexpected character {text[pos]!r}")
-        if m.group("block"):
-            b, a = int(m.group("b")), int(m.group("a"))
+        kind = m.lastgroup  # the outermost group of the alternative that matched
+        if kind == "circle":
+            power = m.group("power")
+            k = 1 if power is None else _nat(m, "power", MAX_WORD_LENGTH)
+            if k is None or len(word) + k > MAX_WORD_LENGTH:
+                raise ParseError(pos if power is None else m.start("power"),
+                                 f"word longer than {MAX_WORD_LENGTH} factors")
+            word.extend([CIRCLE] * k)
+        elif kind in ("block", "diapsis"):
+            if len(word) == MAX_WORD_LENGTH:
+                raise ParseError(pos, f"word longer than {MAX_WORD_LENGTH} factors")
+            if kind == "block":
+                b, a = _nat(m, "b", n - 1), _nat(m, "a", n - 1)
+            else:
+                b = a = _nat(m, "i", n - 1)
+            if b is None or a is None:
+                raise DomainError(f"offset {pos}: block index exceeds n-1 = {n - 1}")
             try:
                 word.append(make_block(n, b, a))
             except DomainError as e:
                 raise DomainError(f"offset {pos}: {e}") from None
-        elif m.group("diapsis"):
-            i = int(m.group("i"))
-            try:
-                word.append(make_block(n, i, i))
-            except DomainError as e:
-                raise DomainError(f"offset {pos}: {e}") from None
-        elif m.group("circle"):
-            k = 1 if m.group("power") is None else int(m.group("power"))
-            word.extend([CIRCLE] * k)
         # "1" and separators contribute nothing
         pos = m.end()
     return Term(n, tuple(word))

@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import kauffman
@@ -59,6 +60,47 @@ def test_nf_without_trace_skips_trace_mode(capsys, monkeypatch):
     monkeypatch.setattr("kauffman.cli.normalize", refuse)
     code, out, _ = run(capsys, "nf", "-n", "2", "h1 h1")
     assert (code, out) == (0, "c h1\n")
+
+
+def test_nf_and_eq_stay_sparse_in_n(capsys, monkeypatch):
+    """A billion strands: neither route does work or keeps memory per strand."""
+    n = "1000000000"
+    wide = "h[999999999,1]"  # a billion diapsides expanded: rewritten whole
+
+    def refuse(term):
+        raise AssertionError("a wide word took the diagram route")
+
+    tracemalloc.start()
+    try:
+        results = [
+            run(capsys, "nf", "-n", n, "h1 c h999999999"),
+            run(capsys, "eq", "-n", n, "h1 h2 h1 c h999999999", "c h999999999 h1"),
+            run(capsys, "eq", "-n", n, "h1 h2 h1", "h2 h1 h2", "--cross-check"),
+        ]
+        # fail at once, rather than after a billion rewirings, if the route rule breaks
+        monkeypatch.setattr("kauffman.semantics.nf_by_diagram", refuse)
+        results += [
+            run(capsys, "nf", "-n", n, f"{wide} c {wide}"),
+            run(capsys, "eq", "-n", n, f"{wide} {wide}", "h[999999997,1] h[999999999,3]"),
+            run(capsys, "eq", "-n", n, f"{wide} {wide}", f"c {wide}"),
+        ]
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert [(code, out) for code, out, _ in results] == [
+        (0, "c h1 h999999999\n"), (0, "equal\n"), (1, "not-equal\n"),
+        (0, "c h[999999997,1] h[999999999,3]\n"), (0, "equal\n"), (1, "not-equal\n")]
+    assert peak < 2_000_000, peak
+
+
+def test_eq_cross_check_exits_3_when_the_routes_disagree(capsys, monkeypatch):
+    monkeypatch.setattr("kauffman.semantics.normal_form",
+                        lambda term: kauffman.JonesNF(term.n, 1))
+    code, out, _ = run(capsys, "eq", "-n", "3", "h2 h1 h2", "h2")
+    assert (code, out) == (0, "equal\n")
+    code, out, err = run(capsys, "eq", "-n", "3", "h2 h1 h2", "h2", "--cross-check")
+    assert (code, out) == (3, "")
+    assert "disagree" in err
 
 
 def test_nf_trace(capsys):

@@ -136,3 +136,10 @@ def test_enumeration_rejects_bad_arguments():
         list(enumerate_terms(3, -1))
     with pytest.raises(DomainError):
         enumerate_normal_forms(3, -1)
+
+
+def test_enumerate_terms_raises_at_the_call():
+    with pytest.raises(DomainError):
+        enumerate_terms(3, -1)
+    with pytest.raises(DomainError):
+        enumerate_terms(1, 3)

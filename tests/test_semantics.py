@@ -13,6 +13,7 @@ from kauffman import (
     Term,
     compose,
     decide_equal,
+    decide_nf,
     delta,
     delta_block,
     diagram_to_nf,
@@ -23,6 +24,7 @@ from kauffman import (
     expand,
     identity,
     is_planar_pairing,
+    nf_by_diagram,
     nf_to_term,
     normal_form,
     normalize,
@@ -32,6 +34,7 @@ from kauffman import (
     slope_points,
     span,
 )
+from kauffman.semantics import DIAGRAM_ROUTE_WIDTH
 
 from helpers import compose_fold, normal_forms_st, terms_st
 
@@ -164,6 +167,68 @@ def test_distinct_normal_forms_have_distinct_diagrams():
 def test_every_rewrite_step_preserves_delta(t):
     for step in normalize(t).steps:
         assert delta(Term(t.n, step.before)) == delta(Term(t.n, step.after))
+
+
+def test_nf_by_diagram_matches_rewriting_exhaustive():
+    terms = list(enumerate_terms(3, 6))
+    assert len(terms) == 1093
+    for t in terms:
+        assert nf_by_diagram(t) == normal_form(t) == normalize(t).output, t
+
+
+@settings(max_examples=300)
+@given(terms_st(max_n=12, max_len=30))
+def test_nf_by_diagram_matches_rewriting(t):
+    assert nf_by_diagram(t) == normal_form(t) == normalize(t).output
+    assert decide_nf(t) == normal_form(t)
+
+
+def _descending_runs(n: int) -> Term:
+    """(h_{n-1} h_{n-3} ... h_1)^4, whose hI swaps grow about quadratically."""
+    run = tuple(Block(i, i) for i in range(n - 1, 0, -2))
+    return Term(n, run * 4)
+
+
+def _wide_blocks(n: int) -> Term:
+    """h[n-1,1]^50, whose expansion is 50 (n - 1) diapsides long."""
+    return Term(n, (Block(n - 1, 1),) * 50)
+
+
+@pytest.mark.parametrize("family", [_descending_runs, _wide_blocks])
+def test_nf_by_diagram_matches_rewriting_on_adversarial_families(family):
+    t = family(64)
+    assert nf_by_diagram(t) == normal_form(t) == normalize(t).output
+    assert nf_by_diagram(t) == diagram_to_nf(delta(t)) == decide_nf(t)
+
+
+def _refuse(*args):
+    raise AssertionError("the other route was taken")
+
+
+def test_decide_nf_reads_the_diagram_up_to_the_route_width(monkeypatch):
+    k = DIAGRAM_ROUTE_WIDTH
+    at_bound = Term(2 * k + 1, (Block(2 * k - 1, 1), CIRCLE, Block(1, 1)) * 3)  # 6k diapsides
+    expected = normal_form(at_bound)
+    monkeypatch.setattr("kauffman.semantics.normal_form", _refuse)
+    assert decide_nf(at_bound) == expected
+
+
+def test_decide_nf_rewrites_wider_words(monkeypatch):
+    k = DIAGRAM_ROUTE_WIDTH
+    too_wide = Term(2 * k + 1, (Block(2 * k, 1), CIRCLE, Block(1, 1)) * 3)  # 6k + 3
+    expected = nf_by_diagram(too_wide)
+    monkeypatch.setattr("kauffman.semantics.nf_by_diagram", _refuse)
+    assert decide_nf(too_wide) == expected
+
+
+def test_nf_by_diagram_builds_no_diagram(monkeypatch):
+    def refuse(d) -> None:
+        raise AssertionError("nf_by_diagram constructed a Diagram")
+
+    t = parse(WORKED_EXAMPLE, 11)
+    expected = normal_form(t)
+    monkeypatch.setattr(Diagram, "__post_init__", refuse)
+    assert nf_by_diagram(t) == expected
 
 
 def test_word_problem_exhaustive_small():

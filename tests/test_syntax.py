@@ -1,3 +1,6 @@
+import sys
+import tracemalloc
+
 import pytest
 from hypothesis import given
 
@@ -10,6 +13,7 @@ from kauffman import (
     format_term,
     parse,
 )
+from kauffman.syntax import MAX_WORD_LENGTH
 
 from helpers import terms_st
 
@@ -101,3 +105,46 @@ def test_parse_inverts_format(t):
 def test_format_idempotent_on_golden_corpus(text, n):
     once = format_term(parse(text, n))
     assert format_term(parse(once, n)) == once
+
+
+def test_parse_refuses_an_oversized_circle_power_before_building_it():
+    tracemalloc.start()
+    try:
+        for text, offset in [("c^1000000000", 2), ("h1 c^1000001", 5),
+                             ("c^" + "9" * 5000, 2)]:
+            with pytest.raises(ParseError) as info:
+                parse(text, 3)
+            assert info.value.position == offset, text
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20, peak
+
+
+def test_parse_accepts_a_word_of_exactly_the_maximal_length():
+    text = f"h1 c^{MAX_WORD_LENGTH - 2} h2"
+    assert len(parse(text, 3).word) == MAX_WORD_LENGTH
+    with pytest.raises(ParseError) as info:
+        parse(text + " h1", 3)
+    assert info.value.position == len(text) + 1
+
+
+@pytest.mark.parametrize("int_digit_limit", [None, 0])
+def test_parse_refuses_long_numbers_whatever_the_interpreter_converts(int_digit_limit):
+    """Long indices are out of range and long powers too long, by digit count alone."""
+    if int_digit_limit is not None:
+        if not hasattr(sys, "set_int_max_str_digits"):
+            pytest.skip("this interpreter has no int digit limit")
+        saved = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(int_digit_limit)
+    try:
+        for index in ("h" + "9" * 5000, "h[" + "9" * 5000 + ",1]", "h[2," + "9" * 5000 + "]"):
+            with pytest.raises(DomainError, match="^offset 3: block index exceeds n-1 = 2$"):
+                parse("h1 " + index, 3)
+        with pytest.raises(ParseError) as info:
+            parse("h1 c^" + "9" * 5000, 3)
+        assert info.value.position == 5
+        assert parse("h000002 c^0003", 3) == parse("h2 c c c", 3)
+    finally:
+        if int_digit_limit is not None:
+            sys.set_int_max_str_digits(saved)
