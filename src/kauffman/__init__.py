@@ -13,7 +13,6 @@ from .diagrams import (
     compose,
     diapsis_diagram,
     from_json_dict,
-    identity,
     is_planar_pairing,
     slope_points,
     span,
@@ -32,8 +31,6 @@ from .rewrite import (
     ConsistencyError,
     NormalizationTrace,
     RewriteStep,
-    apply_rule,
-    find_redex,
     format_step,
     normal_form,
     normalize,
@@ -59,7 +56,6 @@ from .terms import (
     Measure,
     Term,
     block_weight,
-    expand,
     make_block,
     measure_word,
     nf_to_term,

@@ -79,11 +79,6 @@ class Diagram:
         object.__setattr__(self, "involution", partner)
 
 
-def identity(n: int) -> Diagram:
-    """All threads vertical, no circles."""
-    return Diagram(n, tuple((-i, i) for i in range(1, n + 1)))
-
-
 def diapsis_diagram(n: int, i: int) -> Diagram:
     """A cup at positions i, i+1 over the matching cap; verticals elsewhere."""
     if not 1 <= i <= n - 1:

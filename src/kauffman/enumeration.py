@@ -4,8 +4,9 @@ Circle-free planar diagrams are built from the balanced bracket words of
 length 2n through `parenword_to_pairing`; short terms and small normal
 forms come from direct recursion.  Orders are fixed so that golden
 expectations stay stable: pairings come out lexicographically on their
-canonical pair lists, normal forms sorted by (circles, blocks), and terms
-stream by length and then alphabetically with h^1 < ... < h^{n-1} < c.
+canonical pair lists, normal forms by (circles, blocks) as they are
+generated, and terms stream by length and then alphabetically with
+h^1 < ... < h^{n-1} < c.
 """
 
 from __future__ import annotations
@@ -98,27 +99,27 @@ def enumerate_terms(n: int, max_len: int) -> Iterator[Term]:
             for word in product(alphabet, repeat=length))
 
 
-def _block_sequences(n: int) -> list[tuple[tuple[int, int], ...]]:
-    results: list[tuple[tuple[int, int], ...]] = []
+def _block_sequences(n: int) -> Iterator[tuple[tuple[int, int], ...]]:
+    """Ascending block lists of K_n, in sorted order.
 
-    def extend(seq: tuple[tuple[int, int], ...], last_b: int, last_a: int) -> None:
-        results.append(seq)
-        for a in range(last_a + 1, n):
-            for b in range(max(last_b + 1, a), n):
-                extend(seq + ((b, a),), b, a)
+    A pre-order walk that visits children in (b, a) order: a list comes
+    before its extensions, and extensions by a smaller last block first.
+    """
 
-    extend((), 0, 0)
-    return results
+    def extend(seq: tuple[tuple[int, int], ...], last_b: int,
+               last_a: int) -> Iterator[tuple[tuple[int, int], ...]]:
+        yield seq
+        for b in range(last_b + 1, n):
+            for a in range(last_a + 1, b + 1):
+                yield from extend(seq + ((b, a),), b, a)
+
+    return extend((), 0, 0)
 
 
 def enumerate_normal_forms(n: int, max_circles: int) -> list[JonesNF]:
     """All Jones normal forms with at most the given number of circles."""
     if max_circles < 0:
         raise DomainError(f"circle bound must be >= 0, got {max_circles}")
-    forms = [
-        JonesNF(n, circles, blocks)
-        for circles in range(max_circles + 1)
-        for blocks in _block_sequences(n)
-    ]
-    forms.sort(key=lambda f: (f.circles, f.blocks))
-    return forms
+    return [JonesNF(n, circles, blocks)
+            for circles in range(max_circles + 1)
+            for blocks in _block_sequences(n)]

@@ -130,30 +130,6 @@ def _rhs(x: Generator, y: Generator, rule: str) -> list[Generator]:
     raise ConsistencyError(f"unknown rule tag {rule!r}")
 
 
-def find_redex(t: Term) -> tuple[int, str] | None:
-    """Position and rule of the leftmost redex, or None for a normal form."""
-    word = t.word
-    for p in range(len(word) - 1):
-        tag = _classify(word[p], word[p + 1])
-        if tag is not None:
-            return p, tag
-    return None
-
-
-def apply_rule(t: Term, position: int, rule: str) -> Term:
-    """Fire the given rule at the given position, as reported by find_redex."""
-    word = list(t.word)
-    if not 0 <= position < len(word) - 1:
-        raise ConsistencyError(f"no adjacent pair at position {position}")
-    tag = _classify(word[position], word[position + 1])
-    if tag != rule:
-        raise ConsistencyError(
-            f"rule {rule!r} does not apply at position {position} (found {tag!r})"
-        )
-    word[position:position + 2] = _rhs(word[position], word[position + 1], rule)
-    return Term(t.n, tuple(word))
-
-
 def _dominates(x: Block, y: Block) -> bool:
     return x.upper >= y.upper or x.lower >= y.lower
 
@@ -163,57 +139,41 @@ class _Fenwick2D:
 
     A two-dimensional Fenwick tree (Fenwick 1994) whose cells live in a dict
     of rows, so memory grows with the points added, O(log^2 size) cells
-    each, and never with size^2.  The index chains are cached per tree.
+    each, and never with size^2.
     """
 
-    __slots__ = ("size", "rows", "_up", "_down")
+    __slots__ = ("size", "rows")
 
     def __init__(self, size: int) -> None:
         self.size = size
         self.rows: dict[int, dict[int, int]] = {}
-        self._up: dict[int, tuple[int, ...]] = {}
-        self._down: dict[int, tuple[int, ...]] = {}
-
-    def _up_chain(self, i: int) -> tuple[int, ...]:
-        chain = self._up.get(i)
-        if chain is None:
-            start, cells = i, []
-            while i <= self.size:
-                cells.append(i)
-                i += i & -i
-            chain = self._up[start] = tuple(cells)
-        return chain
-
-    def _down_chain(self, i: int) -> tuple[int, ...]:
-        chain = self._down.get(i)
-        if chain is None:
-            start, cells = i, []
-            while i > 0:
-                cells.append(i)
-                i -= i & -i
-            chain = self._down[start] = tuple(cells)
-        return chain
 
     def add(self, u: int, v: int, count: int) -> None:
-        rows = self.rows
-        cols = self._up_chain(v)
-        for a in self._up_chain(u):
+        rows, size = self.rows, self.size
+        a = u
+        while a <= size:
             row = rows.get(a)
             if row is None:
                 row = rows[a] = {}
-            for b in cols:
+            b = v
+            while b <= size:
                 row[b] = row.get(b, 0) + count
+                b += b & -b
+            a += a & -a
 
     def below(self, u: int, v: int) -> int:
         """Number of points (a, b) with a < u and b < v."""
         rows = self.rows
-        cols = self._down_chain(v - 1)
         total = 0
-        for a in self._down_chain(u - 1):
+        a = u - 1
+        while a > 0:
             row = rows.get(a)
             if row:
-                for b in cols:
+                b = v - 1
+                while b > 0:
                     total += row.get(b, 0)
+                    b -= b & -b
+            a -= a & -a
         return total
 
 

@@ -50,6 +50,7 @@ from .diagrams import (
     span,
 )
 from .rewrite import ConsistencyError, normal_form
+from .syntax import MAX_WORD_LENGTH
 from .terms import CIRCLE, Block, DomainError, JonesNF, Term
 
 DIAGRAM_ROUTE_WIDTH = 16  # mean diapsides per block up to which `decide_nf` reads the diagram
@@ -83,8 +84,11 @@ def _rewire(t: Term) -> tuple[dict[int, int], int]:
     its keys are closed under the partner map; every absent code c is on
     the vertical thread (c, -c).  So the pass costs O(1) per diapsis of the
     expanded word, sum(b - a + 1) over its blocks, and nothing per untouched
-    strand.
+    strand.  A word whose expanded length exceeds MAX_WORD_LENGTH, the
+    bound `parse` puts on a word, is refused before the pass.
     """
+    if sum(g.upper - g.lower + 1 for g in t.word if isinstance(g, Block)) > MAX_WORD_LENGTH:
+        raise DomainError(f"expanded word longer than {MAX_WORD_LENGTH} diapsides")
     mate = _Mates()
     circles = 0
     for g in t.word:
@@ -136,11 +140,13 @@ def decide_nf(t: Term) -> JonesNF:
     cost of the rewriting (`normal_form`) does not grow with the widths
     of the blocks.  The diagram decides while the expanded length is at
     most DIAGRAM_ROUTE_WIDTH times the number of blocks, so its time and
-    memory stay within a fixed multiple of the word's length; wider
-    words, such as h[n-1,1] at a large n, are rewritten.
+    memory stay within a fixed multiple of the word's length, and at most
+    MAX_WORD_LENGTH, above which `_rewire` refuses; other words, such as
+    h[n-1,1] at a large n, are rewritten, so every word that parses gets
+    an answer.
     """
     widths = [g.upper - g.lower + 1 for g in t.word if isinstance(g, Block)]
-    if sum(widths) <= DIAGRAM_ROUTE_WIDTH * len(widths):
+    if sum(widths) <= min(DIAGRAM_ROUTE_WIDTH * len(widths), MAX_WORD_LENGTH):
         return nf_by_diagram(t)
     return normal_form(t)
 
@@ -151,7 +157,8 @@ def decide_equal(t: Term, u: Term, cross_check: bool = False) -> bool:
     With cross_check both routes, the diagram (`nf_by_diagram`) and the
     rewriting (`normal_form`), run on both terms; if they disagree on
     either normal form, the isomorphism between the two monoids is
-    falsified and ConsistencyError is raised.
+    falsified and ConsistencyError is raised.  The diagram route then
+    refuses a word whose expanded length exceeds MAX_WORD_LENGTH.
     """
     if t.n != u.n:
         raise DomainError(f"size mismatch: {t.n} vs {u.n}")

@@ -127,17 +127,6 @@ class Measure(NamedTuple):
     n2: int
 
 
-def expand(t: Term) -> Term:
-    """Replace every block h^[b,a] by its word of diapsides h^b ... h^a."""
-    word: list[Generator] = []
-    for g in t.word:
-        if isinstance(g, Block):
-            word.extend(Block(i, i) for i in range(g.upper, g.lower - 1, -1))
-        else:
-            word.append(g)
-    return Term(t.n, tuple(word))
-
-
 def measure_word(word: tuple[Generator, ...]) -> Measure:
     """Complexity measure of a word, from the definition.
 

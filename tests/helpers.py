@@ -1,4 +1,8 @@
-"""Shared generators and independent oracles for the test suite."""
+"""Shared generators and independent oracles for the test suite.
+
+The naive stepper (`find_redex`, `apply_rule`), `expand` and `identity`
+are used by the tests only, so they live here rather than in the package.
+"""
 
 from __future__ import annotations
 
@@ -12,19 +16,58 @@ from hypothesis import strategies as st
 from kauffman import (
     CIRCLE,
     Block,
+    ConsistencyError,
     Diagram,
+    Generator,
     JonesNF,
     Term,
-    apply_rule,
     compose,
     diapsis_diagram,
-    expand,
-    find_redex,
-    identity,
     is_planar_pairing,
     nf_to_term,
 )
+from kauffman.rewrite import _classify, _rhs
 from kauffman.selftest import random_term  # noqa: F401  (shared with selftest)
+
+
+def identity(n: int) -> Diagram:
+    """All threads vertical, no circles; n = 1 included."""
+    return Diagram(n, tuple((-i, i) for i in range(1, n + 1)))
+
+
+def expand(t: Term) -> Term:
+    """Replace every block h^[b,a] by its word of diapsides h^b ... h^a."""
+    word: list[Generator] = []
+    for g in t.word:
+        if isinstance(g, Block):
+            word.extend(Block(i, i) for i in range(g.upper, g.lower - 1, -1))
+        else:
+            word.append(g)
+    return Term(t.n, tuple(word))
+
+
+def find_redex(t: Term) -> tuple[int, str] | None:
+    """Position and rule of the leftmost redex, or None for a normal form."""
+    word = t.word
+    for p in range(len(word) - 1):
+        tag = _classify(word[p], word[p + 1])
+        if tag is not None:
+            return p, tag
+    return None
+
+
+def apply_rule(t: Term, position: int, rule: str) -> Term:
+    """Fire the given rule at the given position, as reported by find_redex."""
+    word = list(t.word)
+    if not 0 <= position < len(word) - 1:
+        raise ConsistencyError(f"no adjacent pair at position {position}")
+    tag = _classify(word[position], word[position + 1])
+    if tag != rule:
+        raise ConsistencyError(
+            f"rule {rule!r} does not apply at position {position} (found {tag!r})"
+        )
+    word[position:position + 2] = _rhs(word[position], word[position + 1], rule)
+    return Term(t.n, tuple(word))
 
 
 def random_nf(rng: random.Random, max_n: int = 10, max_circles: int = 3,

@@ -30,7 +30,6 @@ from kauffman import (
     enumerate_normal_forms,
     enumerate_pairings,
     enumerate_terms,
-    expand,
     format_term,
     measure_word,
     nf_to_term,
@@ -44,7 +43,7 @@ from kauffman import (
 )
 from kauffman.cli import main
 
-from helpers import covers, random_nf, random_term, replay
+from helpers import covers, expand, random_nf, random_term, replay
 
 WORKED_NF = JonesNF(11, 6, ((3, 1), (4, 4), (7, 7), (9, 8), (10, 9)))
 WORKED_TEXT = "c^6 h[3,1] h4 h7 h[9,8] h[10,9]"

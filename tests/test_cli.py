@@ -76,6 +76,9 @@ def test_nf_and_eq_stay_sparse_in_n(capsys, monkeypatch):
             run(capsys, "nf", "-n", n, "h1 c h999999999"),
             run(capsys, "eq", "-n", n, "h1 h2 h1 c h999999999", "c h999999999 h1"),
             run(capsys, "eq", "-n", n, "h1 h2 h1", "h2 h1 h2", "--cross-check"),
+            # the diagram side refuses an expanded length over MAX_WORD_LENGTH up front
+            run(capsys, "eq", "-n", n, wide, "h1", "--cross-check"),
+            run(capsys, "diagram", "-n", n, wide),
         ]
         # fail at once, rather than after a billion rewirings, if the route rule breaks
         monkeypatch.setattr("kauffman.semantics.nf_by_diagram", refuse)
@@ -88,9 +91,14 @@ def test_nf_and_eq_stay_sparse_in_n(capsys, monkeypatch):
     finally:
         tracemalloc.stop()
     assert [(code, out) for code, out, _ in results] == [
-        (0, "c h1 h999999999\n"), (0, "equal\n"), (1, "not-equal\n"),
+        (0, "c h1 h999999999\n"), (0, "equal\n"), (1, "not-equal\n"), (2, ""), (2, ""),
         (0, "c h[999999997,1] h[999999999,3]\n"), (0, "equal\n"), (1, "not-equal\n")]
+    assert all("longer than" in err for code, _, err in results if code == 2)
     assert peak < 2_000_000, peak
+    # 16 diapsides per block, within the route's width but over MAX_WORD_LENGTH in all:
+    # a Jones normal form that the rewriting answers unchanged
+    jones = " ".join(f"h[{k + 15},{k}]" for k in range(1, 70001))
+    assert run(capsys, "nf", "-n", "200000", jones)[:2] == (0, jones + "\n")
 
 
 def test_eq_cross_check_exits_3_when_the_routes_disagree(capsys, monkeypatch):

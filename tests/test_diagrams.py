@@ -14,7 +14,6 @@ from kauffman import (
     diapsis_diagram,
     enumerate_pairings,
     from_json_dict,
-    identity,
     is_planar_pairing,
     parse,
     slope_points,
@@ -22,7 +21,8 @@ from kauffman import (
     to_json_dict,
 )
 
-from helpers import compose_oracle, covers, is_exact_cover, is_planar_matching, thread_class
+from helpers import (compose_oracle, covers, identity, is_exact_cover, is_planar_matching,
+                     thread_class)
 
 
 def with_circles(d: Diagram, k: int) -> Diagram:

@@ -9,11 +9,12 @@ from kauffman import (
     delta,
     diapsis_diagram,
     enumerate_pairings,
-    identity,
     parse,
     render,
     render_ascii,
 )
+
+from helpers import identity
 
 ALLOWED_ASCII = set("|/\\_o \n")
 

@@ -12,13 +12,12 @@ from kauffman import (
     enumerate_normal_forms,
     enumerate_pairings,
     enumerate_terms,
-    identity,
     nf_to_term,
     pairing_to_parenword,
     parenword_to_pairing,
 )
 
-from helpers import brute_force_pairings
+from helpers import brute_force_pairings, identity
 
 
 def balanced_words(n: int) -> list[str]:
@@ -108,6 +107,13 @@ def test_enumerate_normal_forms_small():
         JonesNF(2, 1), JonesNF(2, 1, ((1, 1),)),
     }
     assert len(forms) == 4
+
+
+def test_enumerate_normal_forms_come_out_sorted():
+    for n in range(2, 9):
+        for max_circles in range(3):
+            forms = enumerate_normal_forms(n, max_circles)
+            assert forms == sorted(forms, key=lambda f: (f.circles, f.blocks))
 
 
 def test_circle_free_normal_forms_count_matches_pairings():

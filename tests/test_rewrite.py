@@ -4,6 +4,7 @@ from itertools import product
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kauffman import (
     CIRCLE,
@@ -11,9 +12,7 @@ from kauffman import (
     ConsistencyError,
     JonesNF,
     Term,
-    apply_rule,
     delta,
-    find_redex,
     format_step,
     measure_word,
     normal_form,
@@ -24,7 +23,7 @@ from kauffman import (
 )
 from kauffman.rewrite import STRATEGIES
 
-from helpers import is_jones_shape, naive_leftmost_steps, replay, terms_st
+from helpers import apply_rule, find_redex, is_jones_shape, naive_leftmost_steps, replay, terms_st
 
 
 def all_blocks(n):
@@ -168,6 +167,30 @@ def test_incremental_measures_match_recount_for_both_strategies(strategy, t):
     assert len(trace.measures) == len(intermediates)
     for term, recorded in zip(intermediates, trace.measures):
         assert measure_word(term.word) == recorded
+
+
+@st.composite
+def fenwick_steps(draw):
+    """A tree size up to 10^9 and steps (u, v, count, query_u, query_v)."""
+    size = draw(st.one_of(st.integers(1, 8), st.integers(1, 10**9)))
+    point = st.one_of(st.sampled_from((1, size)), st.integers(1, size))
+    query = st.one_of(st.sampled_from((1, 2, size, size + 1)), st.integers(1, size + 1))
+    steps = draw(st.lists(st.tuples(point, point, st.integers(-3, 3), query, query),
+                          max_size=20))
+    return size, steps
+
+
+@settings(max_examples=200)
+@given(fenwick_steps())
+def test_fenwick_below_matches_brute_force_count(case):
+    size, steps = case
+    tree, points = rewrite._Fenwick2D(size), Counter()
+    for u, v, count, qu, qv in steps:
+        tree.add(u, v, count)
+        points[u, v] += count
+        for x, y in ((qu, qv), (u, v), (u + 1, v + 1), (size + 1, size + 1)):
+            assert tree.below(x, y) == sum(
+                c for (a, b), c in points.items() if a < x and b < y)
 
 
 def test_normalize_on_huge_n_keeps_counts_sparse():

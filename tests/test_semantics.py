@@ -21,8 +21,6 @@ from kauffman import (
     enumerate_normal_forms,
     enumerate_pairings,
     enumerate_terms,
-    expand,
-    identity,
     is_planar_pairing,
     nf_by_diagram,
     nf_to_term,
@@ -36,7 +34,7 @@ from kauffman import (
 )
 from kauffman.semantics import DIAGRAM_ROUTE_WIDTH
 
-from helpers import compose_fold, normal_forms_st, terms_st
+from helpers import compose_fold, expand, identity, normal_forms_st, terms_st
 
 WORKED_EXAMPLE = "c^6 h[3,1] h[4,4] h[7,7] h[9,8] h[10,9]"
 

@@ -8,13 +8,12 @@ from kauffman import (
     JonesNF,
     Measure,
     Term,
-    expand,
     make_block,
     measure_word,
     nf_to_term,
 )
 
-from helpers import normal_forms_st, terms_st
+from helpers import expand, normal_forms_st, terms_st
 
 
 def test_make_block_expands_to_descending_diapsides():
