@@ -11,7 +11,6 @@ SVG/ASCII drawings.
 from .diagrams import (
     Diagram,
     compose,
-    diapsis_diagram,
     from_json_dict,
     is_planar_pairing,
     slope_points,

@@ -14,7 +14,8 @@ min code first).
 
 Because two diagrams are equal as equivalence classes exactly when their
 pairings and circle counts agree, equality of `Diagram` values is plain
-structural equality and no quotienting is needed.
+structural equality and no quotienting is needed.  The monoid's product
+is `compose`, stacking, which walks each thread of the result once.
 
 Thread vocabulary: a *cup* joins two top codes, a *cap* two bottom codes,
 a *transversal* one of each; a transversal is *vertical* when its
@@ -79,71 +80,43 @@ class Diagram:
         object.__setattr__(self, "involution", partner)
 
 
-def diapsis_diagram(n: int, i: int) -> Diagram:
-    """A cup at positions i, i+1 over the matching cap; verticals elsewhere."""
-    if not 1 <= i <= n - 1:
-        raise DomainError(f"diapsis index must be in 1..{n - 1}, got {i}")
-    pairs = [(i, i + 1), (-(i + 1), -i)]
-    pairs.extend((-m, m) for m in range(1, n + 1) if m not in (i, i + 1))
-    return Diagram(n, tuple(pairs))
-
-
 def compose(bottom: Diagram, top: Diagram) -> Diagram:
-    """Stack `top` above `bottom` and glue them along n interface nodes.
+    """Stack `top` above `bottom`; interface point m is code -m of `top` and m of `bottom`.
 
-    Each thread of the result is traced as an alternating path through the
-    interface; paths with two free ends become threads, and closed loops
-    confined to the interface each contribute one circle.  The result keeps
-    the top codes of `top` and the bottom codes of `bottom`.
+    Each thread of the result is one walk from a free end not yet reached
+    (top codes of `top`, then bottom codes of `bottom`) through the
+    interface to another free end.  Interface points that no walk crosses
+    lie on closed loops, each followed once and counted as a circle: O(n)
+    however many loops there are.
     """
     if bottom.n != top.n:
         raise DomainError(f"size mismatch: {bottom.n} vs {top.n}")
     n = bottom.n
-    up = top.involution
-    low = bottom.involution
-
+    up, low = top.involution, bottom.involution
+    crossed = bytearray(n + 1)  # interface points some walk has passed
+    reached: set[int] = set()   # free ends where a walk stopped
     pairs: list[tuple[int, int]] = []
-    seen: set[int] = set()
-    crossed: set[int] = set()  # interface nodes used by open paths
-
-    def follow(code: int, in_top: bool) -> int:
-        while True:
-            if in_top:
-                code = up[code]
-                if code > 0:
-                    return code
-                crossed.add(-code)
-                code, in_top = -code, False
-            else:
-                code = low[code]
-                if code < 0:
-                    return code
-                crossed.add(code)
-                code, in_top = -code, True
-
-    for start, in_top in [(i, True) for i in range(1, n + 1)] + \
-                         [(-i, False) for i in range(1, n + 1)]:
-        if start in seen:
+    for start in chain(range(1, n + 1), range(-1, -n - 1, -1)):
+        if start in reached:
             continue
-        end = follow(start, in_top)
-        seen.add(start)
-        seen.add(end)
-        pairs.append((start, end))
+        code, in_top = start, start > 0
+        # walk on until a free end: a top code of `top` or a bottom code of `bottom`
+        while ((code := (up if in_top else low)[code]) > 0) != in_top:
+            crossed[abs(code)] = 1
+            code, in_top = -code, not in_top
+        reached.add(code)
+        pairs.append((start, code))
 
     loops = 0
-    remaining = set(range(1, n + 1)) - crossed
-    while remaining:
-        start = m = min(remaining)
-        while True:
-            j = -up[-m]  # cap of `top` joins interface m to interface j
-            k = low[j]   # cup of `bottom` continues from j to k
-            remaining.discard(m)
-            remaining.discard(j)
-            m = k
-            if m == start:
-                break
+    for start in range(1, n + 1):
+        if crossed[start]:
+            continue
         loops += 1
-
+        m = start
+        while not crossed[m]:
+            j = -up[-m]  # cap of `top` joins interface m to interface j
+            crossed[m] = crossed[j] = 1
+            m = low[j]   # cup of `bottom` continues from j
     return Diagram(n, tuple(pairs), bottom.circles + top.circles + loops)
 
 

@@ -6,8 +6,9 @@ transversal.  Circles are stacked along the left margin.  SVG output uses
 only line, path (arc commands), circle and text elements, so drawings can
 be checked by counting elements: one line per transversal, one arc per
 cup or cap, one small circle per circle component.  ASCII output is a
-coarse raster over the characters | / \\ _ o; a raster of more than
-MAX_ASCII_CELLS cells is refused with DomainError.
+coarse raster over the characters | / \\ _ o.  A raster of more than
+MAX_ASCII_CELLS cells, or an SVG canvas whose size is not a finite
+float, is refused with DomainError.
 """
 
 from __future__ import annotations
@@ -51,6 +52,8 @@ def _fmt(x: float) -> str:
 def render_svg(d: Diagram, unit: float = UNITS["svg"], show_labels: bool = False) -> str:
     _check_unit(unit)
     n, height = d.n, canvas_height(d.n)
+    if not math.isfinite(max(n + 1, height) * unit):
+        raise DomainError(f"svg canvas of {n + 1} x {height} units of {unit} is not finite")
 
     def x(pos: float) -> float:
         return pos * unit

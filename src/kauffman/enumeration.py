@@ -4,8 +4,8 @@ Circle-free planar diagrams are built from the balanced bracket words of
 length 2n through `parenword_to_pairing`; short terms and small normal
 forms come from direct recursion.  Orders are fixed so that golden
 expectations stay stable: pairings come out lexicographically on their
-canonical pair lists, normal forms by (circles, blocks) as they are
-generated, and terms stream by length and then alphabetically with
+canonical pair lists, normal forms stream by (circles, blocks) as they
+are generated, and terms stream by length and then alphabetically with
 h^1 < ... < h^{n-1} < c.
 """
 
@@ -116,10 +116,15 @@ def _block_sequences(n: int) -> Iterator[tuple[tuple[int, int], ...]]:
     return extend((), 0, 0)
 
 
-def enumerate_normal_forms(n: int, max_circles: int) -> list[JonesNF]:
-    """All Jones normal forms with at most the given number of circles."""
+def enumerate_normal_forms(n: int, max_circles: int) -> Iterator[JonesNF]:
+    """Stream all Jones normal forms with at most the given number of circles.
+
+    The arguments are checked at the call, before the stream starts.
+    """
+    if n < 2:
+        raise DomainError(f"monoid size must be >= 2, got {n}")
     if max_circles < 0:
         raise DomainError(f"circle bound must be >= 0, got {max_circles}")
-    return [JonesNF(n, circles, blocks)
+    return (JonesNF(n, circles, blocks)
             for circles in range(max_circles + 1)
-            for blocks in _block_sequences(n)]
+            for blocks in _block_sequences(n))

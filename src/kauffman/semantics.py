@@ -33,7 +33,9 @@ Two extraction procedures invert delta on normal forms:
   H^j, shrinks the span by exactly 2 and appends h^j as the rightmost
   factor of the extracted word.  The choice is forced: for a thread
   L'-R' crossed further down, L' and R' lie outside L-R along the
-  boundary, so the new thread (L', j) would cross L-R.
+  boundary, so the new thread (L', j) would cross L-R.  Each step is
+  checked by stacking H^j, built by `delta_block`, back on with
+  `compose`: that must give the diagram the step started from.
 """
 
 from __future__ import annotations
@@ -41,14 +43,7 @@ from __future__ import annotations
 from itertools import chain
 from typing import Iterator
 
-from .diagrams import (
-    Diagram,
-    compose,
-    diapsis_diagram,
-    slope_points,
-    slope_points_of,
-    span,
-)
+from .diagrams import Diagram, compose, slope_points, slope_points_of, span
 from .rewrite import ConsistencyError, normal_form
 from .syntax import MAX_WORD_LENGTH
 from .terms import CIRCLE, Block, DomainError, JonesNF, Term
@@ -109,9 +104,12 @@ def delta(t: Term) -> Diagram:
     """The diagram of the word, first factor at the bottom.
 
     `_rewire`'s touched threads plus the untouched verticals, built into
-    one validated `Diagram`: O(n) on top of the pass.
+    one validated `Diagram`: O(n) on top of the pass.  A size over
+    MAX_WORD_LENGTH is refused before the 2n codes are built.
     """
     mate, circles = _rewire(t)
+    if t.n > MAX_WORD_LENGTH:
+        raise DomainError(f"diagram size {t.n} exceeds {MAX_WORD_LENGTH}")
     pairs = [(c, m) for c, m in mate.items() if c < m]
     pairs.extend((-i, i) for i in range(1, t.n + 1) if i not in mate)
     return Diagram(t.n, tuple(pairs), circles)
@@ -202,7 +200,7 @@ def peel_steps(d: Diagram) -> Iterator[tuple[int, Diagram]]:
         nxt = Diagram(n, tuple((c, m) for c, m in mate.items() if c < m))
         if span(nxt) != size - 2:
             raise ConsistencyError("peel step changed the span by != 2")
-        if compose(nxt, diapsis_diagram(n, j)) != current:
+        if compose(nxt, delta_block(n, j, j)) != current:
             raise ConsistencyError("peel step does not recompose")
         yield j, nxt
         current, size = nxt, size - 2

@@ -7,7 +7,8 @@ between factors):
     factor := "1" | "c" ("^" nat)? | "h" nat | "h[" nat "," nat "]"
 
 "1" contributes the empty word, "c^k" is k circles, "hi" is the diapsis
-h^i and "h[b,a]" the block with upper index b and lower index a.
+h^i and "h[b,a]" the block with upper index b and lower index a.  A nat
+is ASCII digits 0-9 only; other Unicode digits are a ParseError.
 
 A word longer than MAX_WORD_LENGTH factors, circle powers counted in
 full, is refused with a ParseError before it is built, so a short text
@@ -35,10 +36,10 @@ class ParseError(ValueError):
 _TOKEN = re.compile(
     r"""
       (?P<sep>[\s*]+)
-    | (?P<one>1(?!\d))
-    | (?P<circle>c(?:\^(?P<power>\d+))?)
-    | (?P<block>h\[\s*(?P<b>\d+)\s*,\s*(?P<a>\d+)\s*\])
-    | (?P<diapsis>h(?P<i>\d+))
+    | (?P<one>1(?![0-9]))
+    | (?P<circle>c(?:\^(?P<power>[0-9]+))?)
+    | (?P<block>h\[\s*(?P<b>[0-9]+)\s*,\s*(?P<a>[0-9]+)\s*\])
+    | (?P<diapsis>h(?P<i>[0-9]+))
     """,
     re.VERBOSE,
 )

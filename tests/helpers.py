@@ -1,7 +1,8 @@
 """Shared generators and independent oracles for the test suite.
 
-The naive stepper (`find_redex`, `apply_rule`), `expand` and `identity`
-are used by the tests only, so they live here rather than in the package.
+The naive stepper (`find_redex`, `apply_rule`), `expand`, `identity` and
+the hand-built `diapsis_diagram` are used by the tests only, so they live
+here rather than in the package.
 """
 
 from __future__ import annotations
@@ -18,11 +19,11 @@ from kauffman import (
     Block,
     ConsistencyError,
     Diagram,
+    DomainError,
     Generator,
     JonesNF,
     Term,
     compose,
-    diapsis_diagram,
     is_planar_pairing,
     nf_to_term,
 )
@@ -33,6 +34,15 @@ from kauffman.selftest import random_term  # noqa: F401  (shared with selftest)
 def identity(n: int) -> Diagram:
     """All threads vertical, no circles; n = 1 included."""
     return Diagram(n, tuple((-i, i) for i in range(1, n + 1)))
+
+
+def diapsis_diagram(n: int, i: int) -> Diagram:
+    """H^i built by hand, not by `delta`: a cup at i, i+1 over the matching cap."""
+    if not 1 <= i <= n - 1:
+        raise DomainError(f"diapsis index must be in 1..{n - 1}, got {i}")
+    pairs = [(i, i + 1), (-(i + 1), -i)]
+    pairs.extend((-m, m) for m in range(1, n + 1) if m not in (i, i + 1))
+    return Diagram(n, tuple(pairs))
 
 
 def expand(t: Term) -> Term:

@@ -150,7 +150,7 @@ def test_criterion_03_catalan_counts():
     for n, count in expected.items():
         pairings = enumerate_pairings(n)
         assert len(pairings) == count, n
-        assert len(enumerate_normal_forms(n, 0)) == count, n
+        assert len(list(enumerate_normal_forms(n, 0))) == count, n
     elapsed = time.perf_counter() - start
     assert elapsed < 30.0, f"{elapsed:.2f}s"
     _report(3, f"catalan counts 2..132 for n=2..6 in {elapsed:.2f}s")

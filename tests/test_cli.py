@@ -163,6 +163,28 @@ def test_diagram_json(capsys):
     assert from_json_dict(payload) == delta(parse("h1 h2", 3))
 
 
+def test_diagram_side_refuses_a_size_over_the_bound_without_allocating(capsys):
+    tracemalloc.start()
+    try:
+        results = [run(capsys, command, "-n", n, "h1")
+                   for command in ("diagram", "render") for n in ("1000001", "1000000000")]
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert [(code, out) for code, out, _ in results] == [(2, "")] * 4
+    assert all("exceeds" in err for _, _, err in results)
+    assert peak < 2_000_000, peak
+
+
+def test_diagram_size_bound_admits_exactly_the_bound(capsys, monkeypatch):
+    monkeypatch.setattr("kauffman.semantics.MAX_WORD_LENGTH", 10)
+    code, out, _ = run(capsys, "diagram", "-n", "10", "h1")
+    assert (code, json.loads(out)["n"]) == (0, 10)
+    code, out, err = run(capsys, "diagram", "-n", "11", "h1")
+    assert (code, out) == (2, "")
+    assert "exceeds 10" in err
+
+
 def test_term_of_slope_and_peel_agree(capsys, monkeypatch):
     blob = json.dumps(to_json_dict(delta(parse(WORKED_EXAMPLE, 11))))
     results = []
@@ -225,6 +247,29 @@ def test_enum_nf(capsys):
     assert sorted(out.splitlines()) == sorted(["1", "h1", "c", "c h1"])
 
 
+class LineCount(io.TextIOBase):
+    """A stdout that keeps only the number of lines written to it."""
+
+    lines = 0
+
+    def write(self, text: str) -> int:
+        self.lines += text.count("\n")
+        return len(text)
+
+
+def test_enum_nf_streams(monkeypatch):
+    sink = LineCount()
+    monkeypatch.setattr("sys.stdout", sink)
+    tracemalloc.start()
+    try:
+        code = main(["enum", "-n", "10", "--nf", "0"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (code, sink.lines) == (0, 16796)  # the Catalan number C_10
+    assert peak < 2_000_000, peak
+
+
 def test_count_pairings(capsys):
     code, out, _ = run(capsys, "count", "-n", "4", "--pairings")
     assert (code, out.strip()) == (0, "14")
@@ -273,6 +318,17 @@ def test_render_rejects_non_finite_unit(capsys):
                                  "--unit", unit)
             assert (code, out) == (2, ""), (fmt, unit)
             assert "unit" in err
+
+
+def test_fuzzed_coercions_exit_2(capsys):
+    # an svg canvas of 4 x 1e308 pixels would print width="inf"
+    code, out, err = run(capsys, "render", "-n", "3", "h1", "--unit", "1e308")
+    assert (code, out) == (2, "")
+    assert "not finite" in err
+    # a fullwidth digit is not the ASCII digit 1
+    code, out, err = run(capsys, "nf", "-n", "5", "h\uff11")
+    assert (code, out) == (2, "")
+    assert "offset 0" in err
 
 
 def test_render_ascii_refuses_a_raster_past_the_cell_budget(capsys):

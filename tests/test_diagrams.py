@@ -1,4 +1,5 @@
 import json
+import random
 import tracemalloc
 from itertools import product
 
@@ -11,18 +12,19 @@ from kauffman import (
     DomainError,
     compose,
     delta,
-    diapsis_diagram,
+    delta_block,
     enumerate_pairings,
     from_json_dict,
     is_planar_pairing,
+    parenword_to_pairing,
     parse,
     slope_points,
     span,
     to_json_dict,
 )
 
-from helpers import (compose_oracle, covers, identity, is_exact_cover, is_planar_matching,
-                     thread_class)
+from helpers import (compose_oracle, covers, diapsis_diagram, identity, is_exact_cover,
+                     is_planar_matching, thread_class)
 
 
 def with_circles(d: Diagram, k: int) -> Diagram:
@@ -41,22 +43,22 @@ def test_identity_span_and_threads():
 
 
 def test_diapsis_diagram_shape():
-    d = diapsis_diagram(2, 1)
+    d = delta_block(2, 1, 1)
     assert d.pairs == ((-2, -1), (1, 2))
-    kinds = sorted(thread_class(p).kind for p in diapsis_diagram(4, 2).pairs)
+    kinds = sorted(thread_class(p).kind for p in delta_block(4, 2, 2).pairs)
     assert kinds == ["cap", "cup", "transversal", "transversal"]
 
 
 def test_diapsis_diagram_span():
     for n, i in [(2, 1), (5, 3), (7, 1)]:
-        assert span(diapsis_diagram(n, i)) == 2
+        assert span(delta_block(n, i, i)) == 2
 
 
 def test_diapsis_diagram_rejects_bad_index():
     with pytest.raises(DomainError):
-        diapsis_diagram(3, 3)
+        delta_block(3, 3, 3)
     with pytest.raises(DomainError):
-        diapsis_diagram(3, 0)
+        delta_block(3, 0, 0)
 
 
 def test_circle_diagram():
@@ -97,6 +99,33 @@ def test_compose_matches_component_oracle():
         pool = enumerate_pairings(n)
         for a, b in product(pool, repeat=2):
             assert compose(a, b) == compose_oracle(a, b)
+
+
+def random_pairing(rng: random.Random, n: int, circles: int) -> Diagram:
+    """A planar pairing read off a random balanced bracket word, plus circles."""
+    word, opened = "", 0
+    while len(word) < 2 * n:
+        close = opened > len(word) - opened and (opened == n or rng.random() < 0.5)
+        word += ")" if close else "("
+        opened += not close
+    return Diagram(n, parenword_to_pairing(word, n).pairs, circles)
+
+
+def test_compose_matches_component_oracle_on_random_pairings():
+    rng = random.Random(20)
+    for _ in range(400):
+        n = rng.randint(1, 40)
+        a, b = (random_pairing(rng, n, rng.randint(0, 2)) for _ in range(2))
+        assert compose(a, b) == compose_oracle(a, b), (a, b)
+
+
+def test_compose_closes_one_circle_per_loop_at_large_n():
+    # all-adjacent cups over all-adjacent caps: every cap of the top meets a cup below
+    n = 20000
+    cups_and_caps = Diagram(n, tuple(p for i in range(1, n, 2)
+                                     for p in ((i, i + 1), (-(i + 1), -i))))
+    out = compose(cups_and_caps, cups_and_caps)
+    assert out == Diagram(n, cups_and_caps.pairs, n // 2)
 
 
 def test_compose_associative_exhaustive_n3():

@@ -7,14 +7,13 @@ from kauffman import (
     DomainError,
     canvas_height,
     delta,
-    diapsis_diagram,
     enumerate_pairings,
     parse,
     render,
     render_ascii,
 )
 
-from helpers import identity
+from helpers import diapsis_diagram, identity
 
 ALLOWED_ASCII = set("|/\\_o \n")
 

@@ -8,7 +8,6 @@ from kauffman import (
     JonesNF,
     Term,
     delta,
-    diapsis_diagram,
     enumerate_normal_forms,
     enumerate_pairings,
     enumerate_terms,
@@ -17,7 +16,7 @@ from kauffman import (
     parenword_to_pairing,
 )
 
-from helpers import brute_force_pairings, identity
+from helpers import brute_force_pairings, diapsis_diagram, identity
 
 
 def balanced_words(n: int) -> list[str]:
@@ -101,7 +100,7 @@ def test_enumerate_terms_order_and_counts():
 
 
 def test_enumerate_normal_forms_small():
-    forms = enumerate_normal_forms(2, 1)
+    forms = list(enumerate_normal_forms(2, 1))
     assert set(forms) == {
         JonesNF(2), JonesNF(2, 0, ((1, 1),)),
         JonesNF(2, 1), JonesNF(2, 1, ((1, 1),)),
@@ -112,13 +111,13 @@ def test_enumerate_normal_forms_small():
 def test_enumerate_normal_forms_come_out_sorted():
     for n in range(2, 9):
         for max_circles in range(3):
-            forms = enumerate_normal_forms(n, max_circles)
+            forms = list(enumerate_normal_forms(n, max_circles))
             assert forms == sorted(forms, key=lambda f: (f.circles, f.blocks))
 
 
 def test_circle_free_normal_forms_count_matches_pairings():
     for n in range(2, 6):
-        assert len(enumerate_normal_forms(n, 0)) == len(enumerate_pairings(n))
+        assert len(list(enumerate_normal_forms(n, 0))) == len(enumerate_pairings(n))
 
 
 def test_normal_form_map_is_onto_circle_free_diagrams():
@@ -129,7 +128,7 @@ def test_normal_form_map_is_onto_circle_free_diagrams():
 
 def test_normal_form_map_is_injective_with_circles():
     for n in range(2, 6):
-        forms = enumerate_normal_forms(n, 2)
+        forms = list(enumerate_normal_forms(n, 2))
         assert len({delta(nf_to_term(f)) for f in forms}) == len(forms)
 
 
@@ -140,6 +139,16 @@ def test_enumeration_rejects_bad_arguments():
         list(enumerate_terms(1, 3))
     with pytest.raises(DomainError):
         list(enumerate_terms(3, -1))
+    with pytest.raises(DomainError):
+        enumerate_normal_forms(3, -1)
+
+
+def test_enumerate_normal_forms_streams_and_raises_at_the_call():
+    forms = enumerate_normal_forms(3, 1)
+    assert iter(forms) is forms
+    assert next(forms) == JonesNF(3)
+    with pytest.raises(DomainError):
+        enumerate_normal_forms(1, 0)
     with pytest.raises(DomainError):
         enumerate_normal_forms(3, -1)
 

@@ -17,7 +17,6 @@ from kauffman import (
     delta,
     delta_block,
     diagram_to_nf,
-    diapsis_diagram,
     enumerate_normal_forms,
     enumerate_pairings,
     enumerate_terms,
@@ -34,7 +33,8 @@ from kauffman import (
 )
 from kauffman.semantics import DIAGRAM_ROUTE_WIDTH
 
-from helpers import compose_fold, expand, identity, normal_forms_st, terms_st
+from helpers import (compose_fold, diapsis_diagram, expand, identity, normal_forms_st,
+                     terms_st)
 
 WORKED_EXAMPLE = "c^6 h[3,1] h[4,4] h[7,7] h[9,8] h[10,9]"
 
@@ -155,7 +155,7 @@ def test_nf_diagram_round_trip_exhaustive():
 
 def test_distinct_normal_forms_have_distinct_diagrams():
     for n in range(2, 5):
-        forms = enumerate_normal_forms(n, 2)
+        forms = list(enumerate_normal_forms(n, 2))
         diagrams = {delta(nf_to_term(f)) for f in forms}
         assert len(diagrams) == len(forms)
 

@@ -148,3 +148,11 @@ def test_parse_refuses_long_numbers_whatever_the_interpreter_converts(int_digit_
     finally:
         if int_digit_limit is not None:
             sys.set_int_max_str_digits(saved)
+
+
+@pytest.mark.parametrize("text, offset", [("h１", 0), ("h٣", 0), ("h1 c^２", 4),
+                                          ("h[２,1]", 0), ("1٣", 1)])
+def test_parse_reads_ascii_digits_only(text, offset):
+    with pytest.raises(ParseError) as info:
+        parse(text, 5)
+    assert info.value.position == offset
