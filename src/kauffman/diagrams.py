@@ -52,17 +52,20 @@ class Diagram:
 
     def __post_init__(self) -> None:
         n = self.n
+        partner: dict[int, int] = {}
+        try:
+            for a, b in self.pairs:
+                partner[a] = b
+                partner[b] = a
+        except (TypeError, ValueError):  # an item that is not two hashable codes
+            raise DomainError("pairs must be pairs of integer codes") from None
         # type() rather than isinstance(): bool is an int subclass and is refused too
-        if {type(n), type(self.circles), *map(type, chain.from_iterable(self.pairs))} != {int}:
+        if {type(n), type(self.circles), *map(type, partner)} != {int}:
             raise DomainError("diagram size, circle count and codes must be integers")
         if n < 1:
             raise DomainError(f"diagram size must be >= 1, got {n}")
         if self.circles < 0:
             raise DomainError(f"circle count must be >= 0, got {self.circles}")
-        partner: dict[int, int] = {}
-        for a, b in self.pairs:
-            partner[a] = b
-            partner[b] = a
         # n pairs over 2n distinct nonzero codes in -n..n cover each code once
         if (len(self.pairs) != n or len(partner) != 2 * n or 0 in partner
                 or min(partner) < -n or max(partner) > n):

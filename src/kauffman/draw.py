@@ -14,6 +14,7 @@ float, is refused with DomainError.
 from __future__ import annotations
 
 import math
+import sys
 import xml.etree.ElementTree as ET
 
 from .diagrams import Diagram
@@ -40,9 +41,12 @@ def _split(d: Diagram):
     return cups, caps, trans
 
 
-def _check_unit(unit: float) -> None:
-    if not (math.isfinite(unit) and unit > 0):
-        raise DomainError(f"unit must be positive and finite, got {unit}")
+def _unit(unit: float) -> float:
+    """The unit as a float; it must be a positive finite int or float."""
+    # type() rather than isinstance(): bool is an int subclass and is refused too
+    if type(unit) not in (int, float) or not 0 < unit <= sys.float_info.max:
+        raise DomainError("unit must be a positive finite int or float")
+    return float(unit)
 
 
 def _fmt(x: float) -> str:
@@ -50,7 +54,7 @@ def _fmt(x: float) -> str:
 
 
 def render_svg(d: Diagram, unit: float = UNITS["svg"], show_labels: bool = False) -> str:
-    _check_unit(unit)
+    unit = _unit(unit)
     n, height = d.n, canvas_height(d.n)
     if not math.isfinite(max(n + 1, height) * unit):
         raise DomainError(f"svg canvas of {n + 1} x {height} units of {unit} is not finite")
@@ -116,7 +120,7 @@ def render_svg(d: Diagram, unit: float = UNITS["svg"], show_labels: bool = False
 
 
 def render_ascii(d: Diagram, unit: float = UNITS["ascii"], show_labels: bool = False) -> str:
-    _check_unit(unit)
+    unit = _unit(unit)
     n = d.n
     cols = max(2, round(unit))
     cups, caps, trans = _split(d)

@@ -7,6 +7,11 @@ expectations stay stable: pairings come out lexicographically on their
 canonical pair lists, normal forms stream by (circles, blocks) as they
 are generated, and terms stream by length and then alphabetically with
 h^1 < ... < h^{n-1} < c.
+
+Each enumeration knows its output size before it starts: sum_{k<=L} n^k
+words of length at most L, (C+1)·Catalan(n) normal forms with at most C
+circles, Catalan(n) pairings.  A size over MAX_ENUMERATION is refused
+with DomainError at the call, counted only as far as the limit.
 """
 
 from __future__ import annotations
@@ -19,12 +24,29 @@ from .diagrams import Diagram, is_planar_pairing  # noqa: F401
 from .terms import CIRCLE, Block, DomainError, JonesNF, Term
 
 OPEN, CLOSE = "(", ")"
+MAX_ENUMERATION = 10**5  # most objects one enumeration or count may produce
+
+
+def _check_count(count: int, what: str) -> None:
+    if count > MAX_ENUMERATION:
+        raise DomainError(f"more than {MAX_ENUMERATION} {what} to enumerate")
+
+
+def _catalan(n: int) -> int:
+    """Catalan(n), or the first Catalan number over MAX_ENUMERATION."""
+    c = 1
+    for k in range(n):
+        if c > MAX_ENUMERATION:
+            break
+        c = c * 2 * (2 * k + 1) // (k + 2)
+    return c
 
 
 def _bracket_words(n: int) -> Iterator[str]:
     """All balanced bracket words with n opening and n closing symbols."""
     if n < 1:
         raise DomainError(f"diagram size must be >= 1, got {n}")
+    _check_count(_catalan(n), "pairings")
 
     def extend(prefix: str, opened: int, closed: int) -> Iterator[str]:
         if closed == n:
@@ -88,13 +110,20 @@ def parenword_to_pairing(word: str, n: int) -> Diagram:
 def enumerate_terms(n: int, max_len: int) -> Iterator[Term]:
     """Stream all words over the diapsides and the circle, shortest first.
 
-    The arguments are checked at the call, before the stream starts.
+    The arguments and the output size are checked at the call, before the
+    stream starts.
     """
     if n < 2:
         raise DomainError(f"monoid size must be >= 2, got {n}")
     if max_len < 0:
         raise DomainError(f"term length bound must be >= 0, got {max_len}")
-    alphabet = [Block(i, i) for i in range(1, n)] + [CIRCLE]
+    count = words = 1
+    for _ in range(max_len):
+        words *= n
+        count += words
+        _check_count(count, "terms")
+    # only the empty word when max_len == 0, whatever n is
+    alphabet = [Block(i, i) for i in range(1, n)] + [CIRCLE] if max_len else []
     return (Term(n, word) for length in range(max_len + 1)
             for word in product(alphabet, repeat=length))
 
@@ -119,12 +148,14 @@ def _block_sequences(n: int) -> Iterator[tuple[tuple[int, int], ...]]:
 def enumerate_normal_forms(n: int, max_circles: int) -> Iterator[JonesNF]:
     """Stream all Jones normal forms with at most the given number of circles.
 
-    The arguments are checked at the call, before the stream starts.
+    The arguments and the output size are checked at the call, before the
+    stream starts.
     """
     if n < 2:
         raise DomainError(f"monoid size must be >= 2, got {n}")
     if max_circles < 0:
         raise DomainError(f"circle bound must be >= 0, got {max_circles}")
+    _check_count((max_circles + 1) * _catalan(n), "normal forms")
     return (JonesNF(n, circles, blocks)
             for circles in range(max_circles + 1)
             for blocks in _block_sequences(n))

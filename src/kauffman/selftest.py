@@ -83,10 +83,18 @@ def _check_rewriting(trials: int = 150) -> None:
     for _ in range(trials):
         t = random_term(rng, 8, 40)
         trace = normalize(t)
-        for before, after in zip(trace.measures, trace.measures[1:]):
-            _expect(after < before, before, after)
+        # replay the steps, recounting the measure from the definition
+        word = list(t.word)
+        last = measure_word(t.word)
+        for step in trace.steps:
+            p = step.position
+            _expect(tuple(word[p:p + 2]) == step.before, t, step)
+            word[p:p + 2] = step.after
+            m = measure_word(tuple(word))
+            _expect(m < last, t, step, last, m)
+            last = m
+        _expect(tuple(word) == nf_to_term(trace.output).word, t)
         _expect(normal_form(t, "rightmost") == trace.output, t)
-        _expect(measure_word(nf_to_term(trace.output).word) == trace.measures[-1], t)
 
 
 def _check_parser(trials: int = 200) -> None:

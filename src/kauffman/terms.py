@@ -109,6 +109,8 @@ class JonesNF:
             raise DomainError(f"circle count must be an integer, got {self.circles!r}")
         if self.circles < 0:
             raise DomainError(f"circle count must be >= 0, got {self.circles}")
+        if not all(isinstance(p, (tuple, list)) and len(p) == 2 for p in self.blocks):
+            raise DomainError("blocks must be (upper, lower) pairs")
         object.__setattr__(self, "blocks", tuple(tuple(p) for p in self.blocks))
         prev_b = prev_a = 0
         for b, a in self.blocks:

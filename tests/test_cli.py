@@ -270,6 +270,39 @@ def test_enum_nf_streams(monkeypatch):
     assert peak < 2_000_000, peak
 
 
+def traced_run(capsys, *argv):
+    """run() under tracemalloc: (exit code, stdout, traced peak in bytes)."""
+    tracemalloc.start()
+    try:
+        code = main(list(argv))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return code, capsys.readouterr().out, peak
+
+
+def test_enum_terms_of_length_zero_builds_no_alphabet(capsys):
+    code, out, peak = traced_run(capsys, "enum", "-n", "1000000000", "--terms", "0")
+    assert (code, out) == (0, "1\n")
+    assert peak < 2_000_000, peak
+
+
+def test_enumerations_over_the_limit_exit_2_before_starting(capsys):
+    for argv in (["enum", "-n", "1000000000", "--terms", "1"],
+                 ["enum", "-n", "2", "--nf", "1000000000"],
+                 ["enum", "-n", "12", "--pairings"],
+                 ["count", "-n", "12", "--pairings"]):
+        code, out, peak = traced_run(capsys, *argv)
+        assert (code, out) == (2, ""), argv
+        assert peak < 2_000_000, (argv, peak)
+
+
+def test_enumeration_limit_admits_exactly_the_limit(capsys, monkeypatch):
+    monkeypatch.setattr("kauffman.enumeration.MAX_ENUMERATION", 14)
+    assert run(capsys, "count", "-n", "4", "--pairings")[:2] == (0, "14\n")
+    assert run(capsys, "count", "-n", "5", "--pairings")[:2] == (2, "")
+
+
 def test_count_pairings(capsys):
     code, out, _ = run(capsys, "count", "-n", "4", "--pairings")
     assert (code, out.strip()) == (0, "14")

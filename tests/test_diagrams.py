@@ -164,6 +164,16 @@ def test_diagram_rejects_non_matchings():
             Diagram(*args)
 
 
+def test_diagram_refuses_a_pair_of_three_codes():
+    with pytest.raises(DomainError):
+        Diagram(2, ((-1, 1, 2), (-2, 2)))
+
+
+def test_diagram_refuses_a_pair_that_is_not_a_sequence():
+    with pytest.raises(DomainError):
+        Diagram(1, (1,))
+
+
 def test_equivalence_is_structural_equality():
     h = diapsis_diagram(3, 1)
     assert h == diapsis_diagram(3, 1)

@@ -99,6 +99,19 @@ def test_render_options_validation():
                 render(identity(2), format=fmt, unit=unit)
 
 
+def test_render_refuses_a_bool_unit():
+    # True would otherwise draw silently with unit 1
+    with pytest.raises(DomainError):
+        render(identity(2), "svg", True)
+
+
+@pytest.mark.parametrize("unit", ["3", 2j, 10**400], ids=["str", "complex", "int-over-float-max"])
+def test_render_refuses_a_unit_that_is_not_a_finite_int_or_float(unit):
+    for fmt in ("svg", "ascii"):
+        with pytest.raises(DomainError):
+            render(identity(2), fmt, unit)
+
+
 def test_ascii_raster_is_bounded():
     # about 4.5 M cells from the unit; about 5.8 M from the nested cups and caps at n = 600
     rainbow = Diagram(600, tuple(p for i in range(1, 301)

@@ -16,6 +16,8 @@ from kauffman import (
     parenword_to_pairing,
 )
 
+from kauffman.enumeration import count_pairings
+
 from helpers import brute_force_pairings, diapsis_diagram, identity
 
 
@@ -158,3 +160,14 @@ def test_enumerate_terms_raises_at_the_call():
         enumerate_terms(3, -1)
     with pytest.raises(DomainError):
         enumerate_terms(1, 3)
+
+
+def test_enumerations_over_the_size_limit_raise_at_the_call():
+    # 1 + 316 + 316^2 = 100173 words; Catalan(12) = 208012; 2 * Catalan(11) = 117572
+    for call in (lambda: enumerate_terms(316, 2), lambda: enumerate_pairings(12),
+                 lambda: count_pairings(12), lambda: enumerate_normal_forms(11, 1)):
+        with pytest.raises(DomainError, match="more than 100000"):
+            call()
+    # the empty word alone, whatever n is
+    assert list(enumerate_terms(10**18, 0)) == [Term(10**18)]
+    assert sum(1 for _ in enumerate_terms(315, 2)) == 1 + 315 + 315**2

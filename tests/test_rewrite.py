@@ -4,7 +4,6 @@ from itertools import product
 
 import pytest
 from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from kauffman import (
     CIRCLE,
@@ -145,54 +144,6 @@ def test_normalized_words_are_fixed_points():
     assert trace.output == f
 
 
-@settings(max_examples=150)
-@given(terms_st(max_n=7, max_len=16))
-def test_trace_measures_match_recomputation(t):
-    """The incrementally maintained measures equal the defining recount."""
-    trace = normalize(t)
-    intermediates = replay(trace)
-    assert len(trace.measures) == len(intermediates)
-    for term, recorded in zip(intermediates, trace.measures):
-        assert measure_word(term.word) == recorded
-
-
-@pytest.mark.parametrize("strategy", STRATEGIES)
-@settings(max_examples=100)
-@given(t=terms_st(max_n=40, max_len=30))
-def test_incremental_measures_match_recount_for_both_strategies(strategy, t):
-    """Both scan orders keep counts that agree with the definition, on wide
-    blocks over many strands and with circles anywhere."""
-    trace = normalize(t, strategy)
-    intermediates = replay(trace)
-    assert len(trace.measures) == len(intermediates)
-    for term, recorded in zip(intermediates, trace.measures):
-        assert measure_word(term.word) == recorded
-
-
-@st.composite
-def fenwick_steps(draw):
-    """A tree size up to 10^9 and steps (u, v, count, query_u, query_v)."""
-    size = draw(st.one_of(st.integers(1, 8), st.integers(1, 10**9)))
-    point = st.one_of(st.sampled_from((1, size)), st.integers(1, size))
-    query = st.one_of(st.sampled_from((1, 2, size, size + 1)), st.integers(1, size + 1))
-    steps = draw(st.lists(st.tuples(point, point, st.integers(-3, 3), query, query),
-                          max_size=20))
-    return size, steps
-
-
-@settings(max_examples=200)
-@given(fenwick_steps())
-def test_fenwick_below_matches_brute_force_count(case):
-    size, steps = case
-    tree, points = rewrite._Fenwick2D(size), Counter()
-    for u, v, count, qu, qv in steps:
-        tree.add(u, v, count)
-        points[u, v] += count
-        for x, y in ((qu, qv), (u, v), (u + 1, v + 1), (size + 1, size + 1)):
-            assert tree.below(x, y) == sum(
-                c for (a, b), c in points.items() if a < x and b < y)
-
-
 def test_normalize_on_huge_n_keeps_counts_sparse():
     """Trace mode on 10^5 strands: dominance counts sized by the word, not n^2."""
     t = parse("h99998 h1 h50000 h49999 h50000 c h3", 100000)
@@ -231,11 +182,29 @@ def test_normal_form_counts_circles_instead_of_moving_them(monkeypatch):
 
 
 @settings(max_examples=150)
-@given(terms_st(max_n=7, max_len=16))
+@given(terms_st(max_n=40, max_len=30))
 def test_trace_measures_strictly_decrease(t):
-    trace = normalize(t)
-    for before, after in zip(trace.measures, trace.measures[1:]):
-        assert after < before
+    """Recounted from the definition, the measure drops at every step of
+    both scan orders, on wide blocks over many strands and with circles
+    anywhere."""
+    for strategy in STRATEGIES:
+        measures = [measure_word(term.word) for term in replay(normalize(t, strategy))]
+        for before, after in zip(measures, measures[1:]):
+            assert after < before
+
+
+@pytest.mark.parametrize("rule, word", [("hI", "h3 h1"), ("hII", "h2 h1 h2")])
+def test_mutated_rule_is_refused(monkeypatch, rule, word):
+    """A rule whose right-hand side keeps the pair as it is fails the
+    per-step measure check at the first step instead of looping."""
+    rhs = rewrite._rhs
+
+    def mutated_rhs(x, y, tag):
+        return [x, y] if tag == rule else rhs(x, y, tag)
+
+    monkeypatch.setattr(rewrite, "_rhs", mutated_rhs)
+    with pytest.raises(ConsistencyError, match=f"^measure did not decrease for {rule} at 0: "):
+        normalize(parse(word, 4))
 
 
 @settings(max_examples=100)

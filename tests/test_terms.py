@@ -130,6 +130,16 @@ def test_jones_nf_rejects_negative_circles():
         JonesNF(3, -1)
 
 
+def test_jones_nf_refuses_a_block_of_three_items():
+    with pytest.raises(DomainError):
+        JonesNF(4, 0, ((3, 2, 1),))
+
+
+def test_jones_nf_refuses_a_block_that_is_not_a_pair():
+    with pytest.raises(DomainError):
+        JonesNF(4, 0, (3,))
+
+
 @given(normal_forms_st())
 def test_expanded_normal_forms_interleave_neighbouring_indices(f):
     # between two occurrences of the diapsis index i there is an i+1 and an i-1
