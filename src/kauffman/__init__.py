@@ -42,7 +42,6 @@ from .semantics import (
     diagram_to_nf,
     nf_by_diagram,
     peel,
-    peel_steps,
 )
 from .syntax import ParseError, format_term, format_word, parse
 from .terms import (

@@ -33,17 +33,33 @@ Two extraction procedures invert delta on normal forms:
   H^j, shrinks the span by exactly 2 and appends h^j as the rightmost
   factor of the extracted word.  The choice is forced: for a thread
   L'-R' crossed further down, L' and R' lie outside L-R along the
-  boundary, so the new thread (L', j) would cross L-R.  Each step is
-  checked by stacking H^j, built by `delta_block`, back on with
-  `compose`: that must give the diagram the step started from.
+  boundary, so the new thread (L', j) would cross L-R.
+
+  All steps rewire one mutable copy of the partner map.  The span-1 cups
+  wait in a max-heap of j, stale entries skipped when popped; a step can
+  only open the cups at j-1 and j+1.  The first crossed thread is found
+  by two cursors that walk the boundary away from the cup, one step each
+  in turn: one left of the cut (top j-1..1, then bottom -1..-j), one
+  right of it (top j+2..n, then bottom -n..-(j+1)).  A thread with both
+  ends on a cursor's side cannot cross the cut and is jumped over in one
+  step; the crossing threads are parallel chords between the two sides,
+  so whichever cursor meets one first meets the nearest.  Each step is
+  checked in O(1): stacking H^j back on the four touched entries, by the
+  move `delta` makes per diapsis, must restore them, and the span must
+  drop by exactly 2.  The whole word is checked once, at the end: its
+  `delta` must be the input diagram.  The cost is O(span/2 + n); the
+  scan visited at most 2 (steps + n) codes on every family measured
+  (staircases, side-by-side cups, random pairings), which is not a
+  proof.  A diagram whose span/2, the length of the word, or whose size
+  exceeds MAX_WORD_LENGTH is refused before the first step.
 """
 
 from __future__ import annotations
 
-from itertools import chain
-from typing import Iterator
+import heapq
 
-from .diagrams import Diagram, compose, slope_points, slope_points_of, span
+# compose is unused here and delta_block only by the tests, but perfbench/tracing.py patches both.
+from .diagrams import Diagram, compose, slope_points, slope_points_of, span  # noqa: F401
 from .rewrite import ConsistencyError, normal_form
 from .syntax import MAX_WORD_LENGTH
 from .terms import CIRCLE, Block, DomainError, JonesNF, Term
@@ -68,19 +84,34 @@ class _Mates(dict):
         return -code
 
 
+def _stack(mate, i: int) -> int:
+    """Stack H^i on the top edge of the partner map `mate`, in place.
+
+    Joins the threads that end at top points i and i+1, or closes a
+    circle when they are one cup, then puts a new cup at (i, i+1); the
+    number of circles closed, 0 or 1, is returned.  Only the entries of
+    i, i+1 and their old partners change.
+    """
+    left, right = mate[i], mate[i + 1]
+    mate[i], mate[i + 1] = i + 1, i
+    if left == i + 1:
+        return 1
+    mate[left], mate[right] = right, left
+    return 0
+
+
 def _rewire(t: Term) -> tuple[dict[int, int], int]:
     """The code -> partner involution of the word's diagram and its circle count.
 
     One pass over the word, first factor at the bottom.  A circle adds one
-    to the count.  Stacking H^i on top joins the threads that end at top
-    points i and i+1, or closes a circle when they are one cup, and then
-    puts a new cup at (i, i+1).  A block h^[b,a] stacks H^b, H^(b-1), ...,
-    H^a in that order.  The map holds only the codes the word touches, and
-    its keys are closed under the partner map; every absent code c is on
-    the vertical thread (c, -c).  So the pass costs O(1) per diapsis of the
-    expanded word, sum(b - a + 1) over its blocks, and nothing per untouched
-    strand.  A word whose expanded length exceeds MAX_WORD_LENGTH, the
-    bound `parse` puts on a word, is refused before the pass.
+    to the count, and a diapsis h^i stacks H^i on top (`_stack`).  A block
+    h^[b,a] stacks H^b, H^(b-1), ..., H^a in that order.  The map holds
+    only the codes the word touches, and its keys are closed under the
+    partner map; every absent code c is on the vertical thread (c, -c).
+    So the pass costs O(1) per diapsis of the expanded word, sum(b - a + 1)
+    over its blocks, and nothing per untouched strand.  A word whose
+    expanded length exceeds MAX_WORD_LENGTH, the bound `parse` puts on a
+    word, is refused before the pass.
     """
     if sum(g.upper - g.lower + 1 for g in t.word if isinstance(g, Block)) > MAX_WORD_LENGTH:
         raise DomainError(f"expanded word longer than {MAX_WORD_LENGTH} diapsides")
@@ -91,12 +122,7 @@ def _rewire(t: Term) -> tuple[dict[int, int], int]:
             circles += 1
             continue
         for i in range(g.upper, g.lower - 1, -1):
-            left, right = mate[i], mate[i + 1]
-            if left == i + 1:
-                circles += 1
-            else:
-                mate[left], mate[right] = right, left
-            mate[i], mate[i + 1] = i + 1, i
+            circles += _stack(mate, i)
     return mate, circles
 
 
@@ -177,33 +203,25 @@ def diagram_to_nf(d: Diagram) -> JonesNF:
     return JonesNF(d.n, d.circles, tuple(zip(bottom, top)))
 
 
-def peel_steps(d: Diagram) -> Iterator[tuple[int, Diagram]]:
-    """Yield (diapsis index, remaining diagram) until the identity remains.
+def _first_crossed(mate: dict[int, int], n: int, j: int) -> tuple[int, int]:
+    """Ends (L, R) of the first thread that the cut below the cup (j, j+1) crosses.
 
-    Consumes the circle-free pairing only; the caller accounts for circles.
+    L lies left of the cut, R right of it.  Two cursors walk the boundary
+    away from the cup, one step each in turn, and jump over every thread
+    whose ends both lie on their own side.
     """
-    n = d.n
-    current = Diagram(n, d.pairs, 0)
-    size = span(current)
-    while size > 0:
-        mate = dict(current.involution)
-        j = next((i for i in range(n - 1, 0, -1) if mate[i] == i + 1), None)
-        if j is None:
-            raise ConsistencyError("positive span but no span-1 cup")
-        # the cut's left side, nearest the cup first: top j-1..1, then bottom 1..j
-        left = next((c for c in chain(range(j - 1, 0, -1), range(-1, -j - 1, -1))
-                     if abs(mate[c]) > j), None)
-        if left is None:
-            raise ConsistencyError("cup covered by no other thread")
-        right = mate[left]
-        mate[left], mate[j], mate[right], mate[j + 1] = j, left, j + 1, right
-        nxt = Diagram(n, tuple((c, m) for c, m in mate.items() if c < m))
-        if span(nxt) != size - 2:
-            raise ConsistencyError("peel step changed the span by != 2")
-        if compose(nxt, delta_block(n, j, j)) != current:
-            raise ConsistencyError("peel step does not recompose")
-        yield j, nxt
-        current, size = nxt, size - 2
+    left = j - 1 if j > 1 else -1         # next along top j-1..1, bottom -1..-j
+    right = j + 2 if j + 1 < n else -n    # next along top j+2..n, bottom -n..-(j+1)
+    while -j <= left and not -j <= right < 0:  # until a cursor runs off its side
+        m = mate[left]
+        if abs(m) > j:
+            return left, m
+        left = m - 1 if m != 1 else -1
+        m = mate[right]
+        if abs(m) <= j:
+            return m, right
+        right = m + 1 if m != n else -n
+    raise ConsistencyError("cup covered by no other thread")
 
 
 def peel(d: Diagram) -> Term:
@@ -212,7 +230,43 @@ def peel(d: Diagram) -> Term:
     The first peeled diapsis ends up as the rightmost factor, so the word
     evaluates back to the diagram under delta; with the greatest-j cup
     choice the result is the diapsis expansion of the Jones normal form.
+    A diagram whose span/2, the length of that word, or whose size
+    exceeds MAX_WORD_LENGTH, the bounds of `delta`, is refused before the
+    first step.
     """
-    indices = [j for j, _ in peel_steps(d)]
-    word = (CIRCLE,) * d.circles + tuple(Block(j, j) for j in reversed(indices))
-    return Term(d.n, word)
+    n = d.n
+    if n > MAX_WORD_LENGTH:
+        raise DomainError(f"diagram size {n} exceeds {MAX_WORD_LENGTH}")
+    size = span(d)
+    if size // 2 > MAX_WORD_LENGTH:
+        raise DomainError(f"peeled word longer than {MAX_WORD_LENGTH} diapsides")
+    mate = dict(d.involution)
+    cups = [-i for i in range(1, n) if mate[i] == i + 1]
+    heapq.heapify(cups)
+    indices = []
+    while size > 0:
+        while cups and mate[-cups[0]] != -cups[0] + 1:
+            heapq.heappop(cups)  # a cup a step has since rewired
+        if not cups:
+            raise ConsistencyError("positive span but no span-1 cup")
+        j = -heapq.heappop(cups)
+        left, right = _first_crossed(mate, n, j)
+        mate[left], mate[j], mate[right], mate[j + 1] = j, left, j + 1, right
+        a, b = abs(left), abs(right)  # positions of the crossed thread's ends
+        if abs(a - j) + abs(b - j - 1) != abs(a - b) + 1 - 2:
+            raise ConsistencyError("peel step changed the span by != 2")
+        touched = {left: j, j: left, right: j + 1, j + 1: right}  # H^j back on: the entries before
+        if _stack(touched, j) or touched != {left: right, right: left, j: j + 1, j + 1: j}:
+            raise ConsistencyError("peel step does not recompose")
+        if left == j - 1:
+            heapq.heappush(cups, 1 - j)
+        if right == j + 2:
+            heapq.heappush(cups, -j - 1)
+        indices.append(j)
+        size -= 2
+    diapsis = {j: Block(j, j) for j in set(indices)}
+    word = (CIRCLE,) * d.circles + tuple(diapsis[j] for j in reversed(indices))
+    peeled = Term(n, word)
+    if delta(peeled) != d:
+        raise ConsistencyError("peeled word does not evaluate to the diagram")
+    return peeled

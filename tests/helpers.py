@@ -24,8 +24,10 @@ from kauffman import (
     JonesNF,
     Term,
     compose,
+    delta,
     is_planar_pairing,
     nf_to_term,
+    peel,
 )
 from kauffman.rewrite import _classify, _rhs
 from kauffman.selftest import random_term  # noqa: F401  (shared with selftest)
@@ -255,6 +257,36 @@ def compose_fold(t: Term) -> Diagram:
         else:
             acc = compose(acc, Diagram(t.n, identity(t.n).pairs, 1))
     return acc
+
+
+def peel_states(d: Diagram):
+    """Yield (j, diagram left) after each `peel` step, first step first.
+
+    Peel detaches the word's diapsides from the right, so after k steps
+    the diagram left is `delta` of the peeled word without its last k
+    factors; each one is rebuilt that way, independently of `peel`.
+    """
+    word = peel(d).word
+    for k in range(1, len(word) - d.circles + 1):
+        yield word[-k].upper, delta(Term(d.n, word[:-k]))
+
+
+def staircase(n: int) -> Diagram:
+    """delta(h[n/2,1] h[n/2+1,2] ... h[n-2,n/2-1]) for even n: the largest span."""
+    half = n // 2
+    return delta(Term(n, tuple(Block(half - 1 + k, k) for k in range(1, half))))
+
+
+def nested(n: int) -> Diagram:
+    """Nested top cups (i, n+1-i) over nested bottom caps, for even n: span n²/2."""
+    cups = [(i, n + 1 - i) for i in range(1, n // 2 + 1)]
+    return Diagram(n, tuple(cups) + tuple((-b, -a) for a, b in cups))
+
+
+def side_by_side(n: int) -> Diagram:
+    """Top cups (2i+1, 2i+2) over bottom caps at the same places, for even n."""
+    cups = [(2 * i + 1, 2 * i + 2) for i in range(n // 2)]
+    return Diagram(n, tuple(cups) + tuple((-b, -a) for a, b in cups))
 
 
 def naive_leftmost_steps(t: Term):

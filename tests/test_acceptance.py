@@ -37,13 +37,12 @@ from kauffman import (
     normalize,
     parse,
     peel,
-    peel_steps,
     slope_points,
     span,
 )
 from kauffman.cli import main
 
-from helpers import covers, expand, random_nf, random_term, replay
+from helpers import covers, expand, peel_states, random_nf, random_term, replay
 
 WORKED_NF = JonesNF(11, 6, ((3, 1), (4, 4), (7, 7), (9, 8), (10, 9)))
 WORKED_TEXT = "c^6 h[3,1] h4 h7 h[9,8] h[10,9]"
@@ -213,7 +212,7 @@ def test_criterion_08_peel_agreement():
         for d in enumerate_pairings(n):
             assert normalize(peel(d)).output == diagram_to_nf(d)
             previous = span(d)
-            for _, rest in peel_steps(d):
+            for _, rest in peel_states(d):
                 assert span(rest) == previous - 2
                 previous = span(rest)
     _report(8, "peeling agrees with slope extraction on all diagrams up to n=5")

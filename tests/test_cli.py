@@ -3,8 +3,11 @@ import json
 import os
 import subprocess
 import sys
+import time
 import tracemalloc
 from pathlib import Path
+
+import pytest
 
 import kauffman
 
@@ -18,6 +21,8 @@ from kauffman import (
     to_json_dict,
 )
 from kauffman.cli import main
+
+from helpers import nested, side_by_side, staircase
 
 WORKED_EXAMPLE = "c^6 h[3,1] h[4,4] h[7,7] h[9,8] h[10,9]"
 
@@ -195,6 +200,28 @@ def test_term_of_slope_and_peel_agree(capsys, monkeypatch):
         results.append(out.strip())
     assert results[0] == results[1]
     assert parse(results[0], 11) == parse(WORKED_EXAMPLE, 11)
+
+
+@pytest.mark.parametrize("build, n", [(staircase, 256), (side_by_side, 4000)])
+def test_term_of_peel_is_fast_on_large_spans(capsys, monkeypatch, build, n):
+    # the staircase took about 12 s when each peel step cost O(n)
+    blob = json.dumps(to_json_dict(build(n)))
+    outputs = []
+    for method in ("slope", "peel"):
+        monkeypatch.setattr("sys.stdin", io.StringIO(blob))
+        start = time.perf_counter()
+        code, out, _ = run(capsys, "term-of", "--method", method)
+        assert (code, time.perf_counter() - start < 5.0) == (0, True)
+        outputs.append(out)
+    assert outputs[0] == outputs[1]
+
+
+def test_term_of_peel_refuses_a_word_over_the_bound(capsys, monkeypatch):
+    blob = json.dumps(to_json_dict(nested(2002)))  # span/2 = 1001² > MAX_WORD_LENGTH
+    monkeypatch.setattr("sys.stdin", io.StringIO(blob))
+    code, out, err = run(capsys, "term-of", "--method", "peel")
+    assert (code, out) == (2, "")
+    assert "peeled word longer than" in err
 
 
 def test_term_of_rejects_non_integer_codes(capsys, monkeypatch):

@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 from itertools import product
 
 import pytest
@@ -7,6 +8,7 @@ from hypothesis import given, settings
 from kauffman import (
     CIRCLE,
     Block,
+    ConsistencyError,
     Diagram,
     DomainError,
     JonesNF,
@@ -27,14 +29,14 @@ from kauffman import (
     normalize,
     parse,
     peel,
-    peel_steps,
     slope_points,
     span,
 )
-from kauffman.semantics import DIAGRAM_ROUTE_WIDTH
+from kauffman import semantics
+from kauffman.semantics import DIAGRAM_ROUTE_WIDTH, _stack
 
 from helpers import (compose_fold, diapsis_diagram, expand, identity, normal_forms_st,
-                     terms_st)
+                     nested, peel_states, terms_st)
 
 WORKED_EXAMPLE = "c^6 h[3,1] h[4,4] h[7,7] h[9,8] h[10,9]"
 
@@ -105,6 +107,16 @@ def test_delta_constructs_one_diagram(monkeypatch):
     d = delta(t)
     assert len(built) == 1 and built[0] is d
     assert d == expected
+
+
+def test_stack_matches_composing_with_the_diapsis():
+    for n in range(2, 7):
+        for d in enumerate_pairings(n):
+            for i in range(1, n):
+                mate = dict(d.involution)
+                closed = _stack(mate, i)
+                pairs = tuple((c, m) for c, m in mate.items() if c < m)
+                assert Diagram(n, pairs, closed) == compose(d, delta_block(n, i, i)), (d, i)
 
 
 def test_delta_block_range_check():
@@ -260,16 +272,23 @@ def test_peel_agrees_with_slope_extraction():
 
 def test_peel_lands_on_the_normal_form_directly():
     # with the greatest-cup choice the peeled word is the expanded normal form
-    for n in range(2, 6):
+    checked = 0
+    for n in range(1, 10):
         for d in enumerate_pairings(n):
-            assert peel(d) == expand(nf_to_term(diagram_to_nf(d)))
+            if n == 1:  # K_1 is not a monoid the package builds
+                with pytest.raises(DomainError):
+                    peel(d)
+            else:
+                assert peel(d) == expand(nf_to_term(diagram_to_nf(d)))
+            checked += 1
+    assert checked == 6917
 
 
 def test_peel_steps_shrink_span_by_two():
     for n in range(2, 5):
         for d in enumerate_pairings(n):
             previous = span(d)
-            for j, rest in peel_steps(d):
+            for j, rest in peel_states(d):
                 assert 1 <= j <= n - 1
                 assert span(rest) == previous - 2
                 previous = span(rest)
@@ -280,10 +299,10 @@ def test_peel_cut_is_the_only_planar_split():
     # splitting any other thread around the cup, in either orientation,
     # either crosses a thread or does not shrink the span by two
     steps = 0
-    for n in range(1, 8):
+    for n in range(2, 8):  # the one pairing at n = 1 has span 0
         for d in enumerate_pairings(n):
             current = d
-            for j, nxt in peel_steps(d):
+            for j, nxt in peel_states(d):
                 rest = [p for p in current.pairs if p != (j, j + 1)]
                 splits = []
                 for p in rest:
@@ -303,6 +322,50 @@ def test_peel_recomposes():
     for n in range(2, 5):
         for d in enumerate_pairings(n):
             assert delta(peel(d)) == d
+
+
+def test_peel_refuses_a_word_over_the_bound_before_any_step():
+    d = nested(2002)
+    assert span(d) // 2 == 1_002_001
+    tracemalloc.start()
+    try:
+        with pytest.raises(DomainError, match="peeled word longer than"):
+            peel(d)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 64_000
+
+
+def test_peel_bound_admits_exactly_the_bound(monkeypatch):
+    d = nested(6)  # span/2 = 9
+    monkeypatch.setattr("kauffman.semantics.MAX_WORD_LENGTH", 9)
+    assert delta(peel(d)) == d
+    monkeypatch.setattr("kauffman.semantics.MAX_WORD_LENGTH", 8)
+    with pytest.raises(DomainError, match="peeled word longer than 8"):
+        peel(d)
+    assert peel(identity(8)) == Term(8)  # the size bound is delta's
+    with pytest.raises(DomainError, match="diagram size 9 exceeds 8"):
+        peel(identity(9))
+
+
+def _broken_stack(mate, i):
+    mate[i], mate[i + 1] = i + 1, i  # the new cup, without joining the threads it caps
+    return 0
+
+
+@pytest.mark.parametrize("name, fault, message", [
+    ("_first_crossed", lambda mate, n, j: (j - 1, mate[j - 1]), "span by != 2"),
+    ("_stack", _broken_stack, "does not recompose"),
+    ("span", lambda d: span(d) + 2, "no span-1 cup"),
+    ("delta", lambda t: delta(Term(t.n)), "does not evaluate"),
+], ids=["scan", "stack", "span", "delta"])
+def test_peel_checks_raise_consistency_error(monkeypatch, name, fault, message):
+    # a fault in any part of peel is caught by one of its checks
+    d = nested(6)
+    monkeypatch.setattr(semantics, name, fault)
+    with pytest.raises(ConsistencyError, match=message):
+        peel(d)
 
 
 def test_delta_composes_over_concatenation():
