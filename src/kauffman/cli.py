@@ -92,8 +92,7 @@ def _cmd_nf(args) -> int:
     term = parse(args.term, args.n)
     if args.trace:
         trace = normalize(term)
-        for step in trace.steps:
-            print(format_step(step))
+        sys.stdout.writelines(format_step(s) + "\n" for s in trace.steps)
         nf = trace.output
     else:
         nf = decide_nf(term)

@@ -1,11 +1,10 @@
 """Enumeration of small planar pairings, terms and normal forms.
 
-Circle-free planar diagrams are built from the balanced bracket words of
-length 2n through `parenword_to_pairing`; short terms and small normal
-forms come from direct recursion.  Orders are fixed so that golden
-expectations stay stable: pairings come out lexicographically on their
-canonical pair lists, normal forms stream by (circles, blocks) as they
-are generated, and terms stream by length and then alphabetically with
+Circle-free planar diagrams, short terms and small normal forms all come
+from direct recursion and stream as they are generated.  Orders are
+fixed so that golden expectations stay stable: pairings come out
+lexicographically on their canonical pair lists, normal forms by
+(circles, blocks), and terms by length and then alphabetically with
 h^1 < ... < h^{n-1} < c.
 
 Each enumeration knows its output size before it starts: sum_{k<=L} n^k
@@ -42,37 +41,59 @@ def _catalan(n: int) -> int:
     return c
 
 
-def _bracket_words(n: int) -> Iterator[str]:
-    """All balanced bracket words with n opening and n closing symbols."""
-    if n < 1:
-        raise DomainError(f"diagram size must be >= 1, got {n}")
-    _check_count(_catalan(n), "pairings")
+def _pair_lists(codes: tuple[int, ...], lo: int,
+                hi: int) -> Iterator[tuple[tuple[int, int], ...]]:
+    """Planar pairings of codes[lo:hi] as canonical pair lists, in sorted order.
 
-    def extend(prefix: str, opened: int, closed: int) -> Iterator[str]:
-        if closed == n:
-            yield prefix
-            return
-        if opened < n:
-            yield from extend(prefix + OPEN, opened + 1, closed)
-        if closed < opened:
-            yield from extend(prefix + CLOSE, opened, closed + 1)
+    codes[lo] pairs with some codes[k] (k - lo odd); the pairs inside it and
+    the pairs after it follow in code order.  Taking k ascending, then the
+    inside's lists in order, then the outside's gives the lists sorted.
+    """
+    if lo == hi:
+        yield ()
+        return
+    for k in range(lo + 1, hi, 2):
+        first = ((codes[lo], codes[k]),)
+        for inside in _pair_lists(codes, lo + 1, k):
+            for outside in _pair_lists(codes, k + 1, hi):
+                yield first + inside + outside
 
-    return extend("", 0, 0)
 
+class Pairings:
+    """The circle-free planar diagrams on n strands, built as they are iterated.
 
-def enumerate_pairings(n: int) -> list[Diagram]:
-    """All circle-free planar diagrams on n strands (Catalan many)."""
-    return sorted((parenword_to_pairing(w, n) for w in _bracket_words(n)),
-                  key=lambda d: d.pairs)
+    Sized without building any (len is Catalan(n)) and iterable again; each
+    iteration streams the diagrams sorted on their canonical pair lists,
+    holding O(n) generator frames.
+    """
+
+    def __init__(self, n: int, count: int) -> None:
+        self.n, self._count = n, count
+
+    def __len__(self) -> int:
+        return self._count
+
+    def __iter__(self) -> Iterator[Diagram]:
+        n = self.n
+        codes = (*range(-n, 0), *range(1, n + 1))
+        return (Diagram(n, pairs) for pairs in _pair_lists(codes, 0, 2 * n))
 
 
 def count_pairings(n: int) -> int:
-    """Number of circle-free planar diagrams on n strands.
+    """Number of circle-free planar diagrams on n strands: Catalan(n).
 
-    Counts the balanced bracket words as they stream out, so no diagram is
-    built and memory stays O(n) generator frames.
+    The size and the count are checked at the call; no diagram is built.
     """
-    return sum(1 for _ in _bracket_words(n))
+    if n < 1:
+        raise DomainError(f"diagram size must be >= 1, got {n}")
+    count = _catalan(n)
+    _check_count(count, "pairings")
+    return count
+
+
+def enumerate_pairings(n: int) -> Pairings:
+    """All circle-free planar diagrams on n strands (Catalan many), streamed."""
+    return Pairings(n, count_pairings(n))
 
 
 def pairing_to_parenword(d: Diagram) -> str:

@@ -51,7 +51,7 @@ def _expect(condition: bool, *detail: object) -> None:
 def _check_catalan() -> None:
     expected = {2: 2, 3: 5, 4: 14, 5: 42}
     for n, count in expected.items():
-        pairings = enumerate_pairings(n)
+        pairings = list(enumerate_pairings(n))
         _expect(len(pairings) == count, n, len(pairings))
         _expect(sum(1 for _ in enumerate_normal_forms(n, 0)) == count, n)
 

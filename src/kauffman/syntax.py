@@ -13,13 +13,17 @@ is ASCII digits 0-9 only; other Unicode digits are a ParseError.
 A word longer than MAX_WORD_LENGTH factors, circle powers counted in
 full, is refused with a ParseError before it is built, so a short text
 such as "c^1000000000" allocates nothing of its power's size.
+
+Each factor, with the separators before it, is one regex match.  Each
+distinct block text is checked once per call: its digit strings key a
+dict of the blocks already built, so a repeated factor costs a lookup.
 """
 
 from __future__ import annotations
 
 import re
 
-from .terms import CIRCLE, Circle, DomainError, Generator, Term, make_block
+from .terms import CIRCLE, Block, Circle, DomainError, Generator, Term, make_block
 
 MAX_WORD_LENGTH = 10**6  # factors in a parsed word, after circle powers are unboxed
 
@@ -35,58 +39,66 @@ class ParseError(ValueError):
 
 _TOKEN = re.compile(
     r"""
-      (?P<sep>[\s*]+)
-    | (?P<one>1(?![0-9]))
-    | (?P<circle>c(?:\^(?P<power>[0-9]+))?)
-    | (?P<block>h\[\s*(?P<b>[0-9]+)\s*,\s*(?P<a>[0-9]+)\s*\])
-    | (?P<diapsis>h(?P<i>[0-9]+))
+    [\s*]*
+    (?: (?P<one>1(?![0-9]))
+      | (?P<circle>c(?:\^(?P<power>[0-9]+))?)
+      | (?P<block>h\[\s*(?P<b>[0-9]+)\s*,\s*(?P<a>[0-9]+)\s*\])
+      | (?P<diapsis>h(?P<i>[0-9]+))
+      | \Z
+    )
     """,
     re.VERBOSE,
 )
+_SEPARATORS = re.compile(r"[\s*]*")
 
 
-def _nat(m: re.Match, group: str, bound: int) -> int | None:
-    """The group's number, or None when it has more digits than `bound`.
+def _nat(digits: str, width: int) -> int | None:
+    """The digits' number, or None when it has more than `width` digits.
 
     Deciding by the digit count keeps int() off long numbers, which the
     interpreter's digit limit may or may not let it convert.
     """
-    digits = m.group(group).lstrip("0") or "0"
-    return int(digits) if len(digits) <= len(str(bound)) else None
+    digits = digits.lstrip("0") or "0"
+    return int(digits) if len(digits) <= width else None
 
 
 def parse(text: str, n: int) -> Term:
     """Parse a term of K_n; raises ParseError or DomainError."""
     if n < 2:
         raise DomainError(f"monoid size must be >= 2, got {n}")
+    index_width, power_width = len(str(n - 1)), len(str(MAX_WORD_LENGTH))
+    blocks: dict[tuple[str, str], Block] = {}  # digit strings -> checked block
     word: list[Generator] = []
     pos = 0
     while pos < len(text):
-        m = _TOKEN.match(text, pos)
+        m = _TOKEN.match(text, pos)  # separators, then one factor or the end
         if m is None:
+            pos = _SEPARATORS.match(text, pos).end()
             raise ParseError(pos, f"unexpected character {text[pos]!r}")
         kind = m.lastgroup  # the outermost group of the alternative that matched
         if kind == "circle":
             power = m.group("power")
-            k = 1 if power is None else _nat(m, "power", MAX_WORD_LENGTH)
+            k = 1 if power is None else _nat(power, power_width)
             if k is None or len(word) + k > MAX_WORD_LENGTH:
-                raise ParseError(pos if power is None else m.start("power"),
+                raise ParseError(m.start("circle" if power is None else "power"),
                                  f"word longer than {MAX_WORD_LENGTH} factors")
             word.extend([CIRCLE] * k)
         elif kind in ("block", "diapsis"):
+            start = m.start(kind)
             if len(word) == MAX_WORD_LENGTH:
-                raise ParseError(pos, f"word longer than {MAX_WORD_LENGTH} factors")
-            if kind == "block":
-                b, a = _nat(m, "b", n - 1), _nat(m, "a", n - 1)
-            else:
-                b = a = _nat(m, "i", n - 1)
-            if b is None or a is None:
-                raise DomainError(f"offset {pos}: block index exceeds n-1 = {n - 1}")
-            try:
-                word.append(make_block(n, b, a))
-            except DomainError as e:
-                raise DomainError(f"offset {pos}: {e}") from None
-        # "1" and separators contribute nothing
+                raise ParseError(start, f"word longer than {MAX_WORD_LENGTH} factors")
+            key = m.group("b", "a") if kind == "block" else (m.group("i"),) * 2
+            g = blocks.get(key)
+            if g is None:
+                b, a = _nat(key[0], index_width), _nat(key[1], index_width)
+                if b is None or a is None:
+                    raise DomainError(f"offset {start}: block index exceeds n-1 = {n - 1}")
+                try:
+                    g = blocks[key] = make_block(n, b, a)
+                except DomainError as e:
+                    raise DomainError(f"offset {start}: {e}") from None
+            word.append(g)
+        # "1" and the end of the text contribute nothing
         pos = m.end()
     return Term(n, tuple(word))
 

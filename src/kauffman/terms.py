@@ -135,21 +135,21 @@ def measure_word(word: tuple[Generator, ...]) -> Measure:
     n1 sums block weights.  n2 sums, over every block, the number of later
     blocks whose upper or lower index it dominates (>=), plus, over every
     circle, the number of blocks to its left.  Flat words carry no explicit
-    unit, so the unit contributes nothing.
+    unit, so the unit contributes nothing.  One pass counts it: each block
+    is weighed and compared with the blocks before it as it is read.
     """
-    blocks = [g for g in word if isinstance(g, Block)]
-    n1 = sum(block_weight(g) for g in blocks)
-    n2 = 0
-    for p, g in enumerate(blocks):
-        for h in blocks[p + 1:]:
-            if g.upper >= h.upper or g.lower >= h.lower:
-                n2 += 1
-    seen = 0
+    n1 = n2 = 0
+    pairs: list[tuple[int, int]] = []  # (upper, lower) of the blocks read so far
     for g in word:
         if isinstance(g, Block):
-            seen += 1
+            b, a = g.upper, g.lower
+            n1 += b - a + 2  # block_weight(g)
+            for upper, lower in pairs:
+                if upper >= b or lower >= a:
+                    n2 += 1
+            pairs.append((b, a))
         else:
-            n2 += seen
+            n2 += len(pairs)
     return Measure(n1, n2)
 
 

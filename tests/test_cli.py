@@ -14,7 +14,11 @@ import kauffman
 from kauffman import (
     Diagram,
     delta,
+    format_step,
+    format_term,
     from_json_dict,
+    nf_to_term,
+    normalize,
     parse,
     render,
     render_ascii,
@@ -161,6 +165,19 @@ def test_nf_trace_worked_scramble_text(capsys):
     assert (code, out) == (0, WORKED_SCRAMBLE_TRACE.splitlines()[-1] + "\n")
 
 
+@pytest.mark.parametrize("text, n", [("h1 h1", 2), (WORKED_SCRAMBLE, 11),
+                                     ("c h[3,1] h2 c^2 h[4,2] h1 h3", 5)])
+def test_nf_trace_prints_every_step_then_the_normal_form(capsys, text, n):
+    trace = normalize(parse(text, n))
+    expected = "".join(format_step(s) + "\n" for s in trace.steps)
+    expected += format_term(nf_to_term(trace.output)) + "\n"
+    assert run(capsys, "nf", "-n", str(n), "--trace", text) == (0, expected, "")
+
+
+def test_nf_trace_of_a_normal_form_prints_only_the_form(capsys):
+    assert run(capsys, "nf", "-n", "3", "--trace", "h1") == (0, "h1\n", "")
+
+
 def test_diagram_json(capsys):
     code, out, _ = run(capsys, "diagram", "-n", "3", "h1 h2")
     assert code == 0
@@ -294,6 +311,19 @@ def test_enum_nf_streams(monkeypatch):
     finally:
         tracemalloc.stop()
     assert (code, sink.lines) == (0, 16796)  # the Catalan number C_10
+    assert peak < 2_000_000, peak
+
+
+def test_enum_pairings_streams(monkeypatch):
+    sink = LineCount()
+    monkeypatch.setattr("sys.stdout", sink)
+    tracemalloc.start()
+    try:
+        code = main(["enum", "-n", "9", "--pairings"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (code, sink.lines) == (0, 4862)  # the Catalan number C_9
     assert peak < 2_000_000, peak
 
 

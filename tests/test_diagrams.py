@@ -137,7 +137,7 @@ def test_compose_associative_exhaustive_n3():
 @settings(max_examples=60)
 @given(st.data())
 def test_compose_associative_sampled_n5(data):
-    pool = enumerate_pairings(5)
+    pool = list(enumerate_pairings(5))
     a = data.draw(st.sampled_from(pool))
     b = data.draw(st.sampled_from(pool))
     c = data.draw(st.sampled_from(pool))
@@ -331,7 +331,7 @@ def test_is_planar_pairing_direct():
 
 def test_compose_preserves_planarity_closure():
     # constructor re-validates, so reaching here means every composite is planar
-    pool = enumerate_pairings(4)
+    pool = list(enumerate_pairings(4))
     for a, b in product(pool[:7], pool[:7]):
         composite = compose(a, b)
         assert is_planar_pairing(composite.pairs, 4)

@@ -34,23 +34,23 @@ def balanced_words(n: int) -> list[str]:
 
 
 def test_pairing_counts_are_catalan():
-    assert [len(enumerate_pairings(n)) for n in range(1, 6)] == [1, 2, 5, 14, 42]
+    assert [len(list(enumerate_pairings(n))) for n in range(1, 6)] == [1, 2, 5, 14, 42]
 
 
 def test_pairings_n2_are_identity_and_diapsis():
-    assert enumerate_pairings(2) == [
+    assert list(enumerate_pairings(2)) == [
         Diagram(2, ((-2, -1), (1, 2))),
         Diagram(2, ((-2, 2), (-1, 1))),
     ]
 
 
 def test_pairings_n1():
-    assert enumerate_pairings(1) == [identity(1)]
+    assert list(enumerate_pairings(1)) == [identity(1)]
 
 
 def test_pairings_come_out_sorted_and_circle_free():
     for n in range(1, 6):
-        pool = enumerate_pairings(n)
+        pool = list(enumerate_pairings(n))
         assert pool == sorted(pool, key=lambda d: d.pairs)
         assert all(d.circles == 0 for d in pool)
         assert len(set(pool)) == len(pool)
@@ -86,7 +86,7 @@ def test_parenword_bijection_up_to_seven():
             assert pairing_to_parenword(d) == word
     # the library order against the independent brute-force search
     for n in range(1, 8):
-        assert enumerate_pairings(n) == brute_force_pairings(n)
+        assert list(enumerate_pairings(n)) == brute_force_pairings(n)
 
 
 def test_enumerate_terms_order_and_counts():
@@ -119,7 +119,7 @@ def test_enumerate_normal_forms_come_out_sorted():
 
 def test_circle_free_normal_forms_count_matches_pairings():
     for n in range(2, 6):
-        assert len(list(enumerate_normal_forms(n, 0))) == len(enumerate_pairings(n))
+        assert len(list(enumerate_normal_forms(n, 0))) == len(list(enumerate_pairings(n)))
 
 
 def test_normal_form_map_is_onto_circle_free_diagrams():

@@ -1,8 +1,10 @@
+import re
 import sys
 import tracemalloc
 
 import pytest
 from hypothesis import given
+from hypothesis import strategies as st
 
 from kauffman import (
     CIRCLE,
@@ -156,3 +158,38 @@ def test_parse_reads_ascii_digits_only(text, offset):
     with pytest.raises(ParseError) as info:
         parse(text, 5)
     assert info.value.position == offset
+
+
+def test_a_repeated_invalid_block_text_raises_at_its_first_offset():
+    for text, n in [("h1 h[1,3] h2 h[1,3]", 5), ("h1 h7 h7", 5), ("h2 h0 h0", 3)]:
+        with pytest.raises(DomainError, match="^offset 3: "):
+            parse(text, n)
+
+
+def test_texts_of_one_block_parse_to_equal_blocks():
+    assert parse("h01 h1 h[1,1] h[01, 001]", 3).word == (Block(1, 1),) * 4
+    assert parse("h[2,1] h2 h[02,1]", 3).word == (Block(2, 1), Block(2, 2), Block(2, 1))
+
+
+VALID_FACTORS = ("1", "c", "c^2", "c^0", "h1", "h01", "h[2,1]", "h[ 2 , 1 ]", "h[1,1]")
+SEPARATORS = st.text(alphabet=" \t*", min_size=1, max_size=3)
+# each fails to parse at its first character, or names a block outside K_3
+MALFORMED = ("x", "h", "h[1", "h[2 1]", "h\uff11", "%", "h0", "h3", "h[1,2]", "h[9,1]")
+
+
+@given(st.lists(st.tuples(st.sampled_from(VALID_FACTORS), SEPARATORS), max_size=8),
+       st.data())
+def test_an_error_is_reported_at_the_malformed_factor(factors, data):
+    at = data.draw(st.integers(0, len(factors)))
+    bad = data.draw(st.sampled_from(MALFORMED))
+    pieces = [f + sep for f, sep in factors]
+    lead = data.draw(st.sampled_from(["", " ", "*"]))
+    before = lead + "".join(pieces[:at])
+    text = before + bad + data.draw(SEPARATORS) + "".join(pieces[at:])
+    with pytest.raises((ParseError, DomainError)) as info:
+        parse(text, 3)
+    if isinstance(info.value, ParseError):
+        position = info.value.position
+    else:
+        position = int(re.match(r"offset (\d+): ", str(info.value)).group(1))
+    assert position == len(before), text

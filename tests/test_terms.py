@@ -4,6 +4,7 @@ from hypothesis import given
 from kauffman import (
     CIRCLE,
     Block,
+    Circle,
     DomainError,
     JonesNF,
     Measure,
@@ -150,3 +151,23 @@ def test_expanded_normal_forms_interleave_neighbouring_indices(f):
         for lo, hi in zip(positions, positions[1:]):
             between = set(indices[lo + 1:hi])
             assert i + 1 in between and i - 1 in between
+
+
+def measure_by_definition(word):
+    """The docstring's definition of the measure, written out as plain loops."""
+    blocks = [g for g in word if isinstance(g, Block)]
+    n1 = sum(g.upper - g.lower + 2 for g in blocks)
+    n2 = 0
+    for p in range(len(blocks)):
+        for q in range(p + 1, len(blocks)):
+            if blocks[p].upper >= blocks[q].upper or blocks[p].lower >= blocks[q].lower:
+                n2 += 1
+    for p, g in enumerate(word):
+        if isinstance(g, Circle):
+            n2 += sum(isinstance(h, Block) for h in word[:p])
+    return Measure(n1, n2)
+
+
+@given(terms_st(max_n=8, max_len=12))
+def test_measure_word_matches_its_definition(t):
+    assert measure_word(t.word) == measure_by_definition(t.word)
