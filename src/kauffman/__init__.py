@@ -33,6 +33,7 @@ from .rewrite import (
     format_step,
     normal_form,
     normalize,
+    rewrite_steps,
 )
 from .semantics import (
     decide_equal,

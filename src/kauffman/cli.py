@@ -1,13 +1,21 @@
 """Command-line front end.
 
 Exit codes: 0 success (and "equal" for eq), 1 not-equal or failed
-selftest, 2 parse or domain errors, 3 internal cross-check failures.
+selftest, 2 parse or domain errors, 3 internal cross-check failures,
+141 (128 + SIGPIPE, as a shell reports a pipe writer that SIGPIPE ended)
+when the reader of stdout closed it before the output ended.
+
+Output is written as it is produced: `enum` writes one line per object
+and `nf --trace` one line per rewrite step as the step fires, so neither
+keeps its output in memory; a failure partway leaves the lines written
+before it on stdout.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from typing import Sequence
 
@@ -20,10 +28,14 @@ from .enumeration import (
     enumerate_pairings,
     enumerate_terms,
 )
-from .rewrite import ConsistencyError, format_step, normal_form, normalize
+# normalize is not called here, but stays a name of this module: perfbench/tracing.py
+# wraps kauffman.cli.normalize
+from .rewrite import ConsistencyError, format_step, normal_form, normalize, rewrite_steps  # noqa: F401
 from .semantics import decide_equal, decide_nf, delta, diagram_to_nf, peel
 from .syntax import ParseError, format_term, parse
 from .terms import DomainError, nf_to_term
+
+EXIT_CLOSED_PIPE = 141
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -91,9 +103,12 @@ def _build_parser() -> argparse.ArgumentParser:
 def _cmd_nf(args) -> int:
     term = parse(args.term, args.n)
     if args.trace:
-        trace = normalize(term)
-        sys.stdout.writelines(format_step(s) + "\n" for s in trace.steps)
-        nf = trace.output
+        steps, write = rewrite_steps(term), sys.stdout.write
+        try:
+            while True:
+                write(format_step(next(steps)) + "\n")
+        except StopIteration as done:
+            nf = done.value
     else:
         nf = decide_nf(term)
     print(format_term(nf_to_term(nf)))
@@ -115,7 +130,7 @@ def _cmd_diagram(args) -> int:
 def _cmd_term_of(args) -> int:
     try:
         data = json.load(sys.stdin)
-    except json.JSONDecodeError as e:
+    except (json.JSONDecodeError, RecursionError) as e:  # RecursionError: nested too deep
         raise DomainError(f"invalid JSON on stdin: {e}") from None
     diagram = from_json_dict(data)
     if args.method == "slope":
@@ -154,6 +169,20 @@ def _cmd_selftest(args) -> int:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
+    try:
+        code = _run(argv)
+        sys.stdout.flush()  # so that a closed pipe raises here, not at interpreter exit
+    except BrokenPipeError:
+        # The reader is gone.  Point stdout at os.devnull, so that the flush
+        # at interpreter exit finds somewhere to write, and end quietly.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return EXIT_CLOSED_PIPE
+    return code
+
+
+def _run(argv: Sequence[str] | None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)

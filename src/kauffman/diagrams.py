@@ -29,6 +29,7 @@ from dataclasses import dataclass, field
 from itertools import chain
 from typing import Iterable
 
+from .syntax import MAX_WORD_LENGTH
 from .terms import DomainError
 
 
@@ -162,7 +163,12 @@ def to_json_dict(d: Diagram) -> dict:
 
 
 def from_json_dict(obj) -> Diagram:
-    """Inverse of to_json_dict; the constructor refuses non-integer values."""
+    """Inverse of to_json_dict; the constructor refuses non-integer values.
+
+    A circle count over MAX_WORD_LENGTH is refused: a normal-form term
+    spells each circle out.  No diagram of a parsed word has that many,
+    since each factor closes at most one circle.
+    """
     if not isinstance(obj, dict):
         raise DomainError("diagram JSON must be an object")
     missing = {"n", "pairs", "circles"} - obj.keys()
@@ -172,4 +178,7 @@ def from_json_dict(obj) -> Diagram:
     if not isinstance(pairs, list) or not all(
             isinstance(p, list) and len(p) == 2 for p in pairs):
         raise DomainError("diagram JSON: pairs must be a list of code pairs")
-    return Diagram(obj["n"], tuple(tuple(p) for p in pairs), obj["circles"])
+    circles = obj["circles"]
+    if isinstance(circles, int) and circles > MAX_WORD_LENGTH:
+        raise DomainError(f"diagram JSON: more than {MAX_WORD_LENGTH} circles")
+    return Diagram(obj["n"], tuple(tuple(p) for p in pairs), circles)

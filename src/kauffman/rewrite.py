@@ -21,17 +21,21 @@ at each step, so any strategy terminates, and a word admits no redex
 exactly when it is a Jones normal form.  Words are flat and the unit is
 the empty word, so no rule eliminates units.
 
-Both routes share one scan loop.  `normalize` (trace mode) keeps the
-circles in the word, so only its trace records hcI steps, as the system
-above defines them, and it checks the measure drop of every step from
-the fired pair alone (see `normalize`).  `normal_form` uses that circles
-are central (h^[i,j] c = c h^[i,j]): it counts the circles of the input
-and of every hcII as an integer and rewrites only the blocks, so it
-never fires hcI.  In both, a step costs O(1) plus the list splice.
+Both routes share one scan loop, `_reduce`, which yields each redex it
+finds and reads the word as its caller left it after firing.
+`rewrite_steps` (trace mode) keeps the circles in the word, so only its
+steps include hcI, as the system above defines them; it checks the
+measure drop of every step from the fired pair alone and yields the step
+as it fires, so a caller that writes each step and drops it keeps O(L)
+memory however many steps there are.  `normalize` collects that stream
+into a `NormalizationTrace`.  `normal_form` uses that circles are central
+(h^[i,j] c = c h^[i,j]): it counts the circles of the input and of every
+hcII as an integer and rewrites only the blocks, so it never fires hcI.
+In both, a step costs O(1) plus the list splice.
 
 The word problem is decided by the diagram route
 (`semantics.nf_by_diagram`) for most words; this module is the reference
-that follows the paper.  `normalize` serves `nf --trace`, and
+that follows the paper.  `rewrite_steps` serves `nf --trace`, and
 `normal_form` serves `semantics.decide_nf` on words of wide blocks, the
 cross-check of `decide_equal`, `term-of --method peel` and the oracles
 of the test suite and `selftest`.
@@ -39,8 +43,9 @@ of the test suite and `selftest`.
 
 from __future__ import annotations
 
+# collections.abc's Generator, renamed: here a Generator is a generator of the monoid
+from collections.abc import Generator as Stream, Iterator
 from dataclasses import dataclass
-from typing import Callable
 
 from .syntax import format_word
 from .terms import CIRCLE, Block, Circle, Generator, JonesNF, Term, measure_word
@@ -127,15 +132,14 @@ def _pack(n: int, word: list[Generator]) -> JonesNF:
     return JonesNF(n, circles, tuple(blocks))
 
 
-def _reduce(word: list[Generator], strategy: str,
-            fire: Callable[[int, str], None]) -> None:
-    """Rewrite `word` in place until no redex remains.
+def _reduce(word: list[Generator], strategy: str) -> Iterator[tuple[int, str]]:
+    """Yield each redex (p, tag) of `word` in scan order until none remains.
 
-    fire(p, tag) replaces the redex word[p:p+2] by its right-hand side.
-    The scan cursor only ever needs to back up one position after a
-    firing, because rules change the word locally; so scanning costs
-    amortized O(1) per step, and a step costs what `fire` costs plus the
-    list splice.
+    The caller fires the redex, replacing word[p:p+2] by its right-hand
+    side, before it asks for the next one; the scan reads the word as the
+    caller left it.  The scan cursor only ever needs to back up one
+    position after a firing, because rules change the word locally; so
+    scanning costs amortized O(1) per step.
     """
     if strategy not in STRATEGIES:
         raise ValueError(f"unknown strategy {strategy!r}")
@@ -146,7 +150,7 @@ def _reduce(word: list[Generator], strategy: str,
             if tag is None:
                 p += 1
             else:
-                fire(p, tag)
+                yield p, tag
                 p = p - 1 if p else 0
     else:
         p = len(word) - 2
@@ -155,24 +159,23 @@ def _reduce(word: list[Generator], strategy: str,
             if tag is None:
                 p -= 1
             else:
-                fire(p, tag)
+                yield p, tag
                 p = min(p + 1, len(word) - 2)
 
 
-def normalize(t: Term, strategy: str = "leftmost") -> NormalizationTrace:
-    """Reduce to Jones normal form, recording every step.
+def rewrite_steps(t: Term, strategy: str = "leftmost") -> Stream[RewriteStep, None, JonesNF]:
+    """Yield every rewrite step as it fires; return the Jones normal form.
 
-    Circles stay in the word, so the trace has every hcI step of the
+    Circles stay in the word, so the stream has every hcI step of the
     rewrite system.  Each step is checked to decrease the measure, from
     the fired pair alone: n1 sums over blocks, so the pair's n1 change is
     the word's; a step that keeps n1 must swap the pair, which keeps its
     relations to the rest of the word, so the pair's n2 change is the
-    word's.  A step that fails the check raises ConsistencyError.
+    word's.  A step that fails the check raises ConsistencyError before
+    it is yielded.
     """
     word = list(t.word)
-    steps: list[RewriteStep] = []
-
-    def fire(p: int, tag: str) -> None:
+    for p, tag in _reduce(word, strategy):
         x, y = word[p], word[p + 1]
         rhs = tuple(_rhs(x, y, tag))
         before, after = measure_word((x, y)), measure_word(rhs)
@@ -180,10 +183,19 @@ def normalize(t: Term, strategy: str = "leftmost") -> NormalizationTrace:
             raise ConsistencyError(
                 f"measure did not decrease for {tag} at {p}: pair {tuple(before)} -> {tuple(after)}")
         word[p:p + 2] = rhs
-        steps.append(RewriteStep(tag, p, (x, y), rhs))
+        yield RewriteStep(tag, p, (x, y), rhs)
+    return _pack(t.n, word)
 
-    _reduce(word, strategy, fire)
-    return NormalizationTrace(t, tuple(steps), _pack(t.n, word))
+
+def normalize(t: Term, strategy: str = "leftmost") -> NormalizationTrace:
+    """Reduce to Jones normal form, keeping every step of `rewrite_steps`."""
+    stream = rewrite_steps(t, strategy)
+    steps: list[RewriteStep] = []
+    try:
+        while True:
+            steps.append(next(stream))
+    except StopIteration as done:
+        return NormalizationTrace(t, tuple(steps), done.value)
 
 
 def normal_form(t: Term, strategy: str = "leftmost") -> JonesNF:
@@ -196,16 +208,12 @@ def normal_form(t: Term, strategy: str = "leftmost") -> JonesNF:
     """
     word = [g for g in t.word if isinstance(g, Block)]
     circles = len(t.word) - len(word)
-
-    def fire(p: int, tag: str) -> None:
-        nonlocal circles
+    for p, tag in _reduce(word, strategy):
         rhs = _rhs(word[p], word[p + 1], tag)
         if tag == "hcII":
             circles += 1
             del rhs[0]
         word[p:p + 2] = rhs
-
-    _reduce(word, strategy, fire)
     return JonesNF(t.n, circles, tuple((g.upper, g.lower) for g in word))
 
 

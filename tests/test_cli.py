@@ -1,6 +1,7 @@
 import io
 import json
 import os
+import random
 import subprocess
 import sys
 import time
@@ -22,9 +23,11 @@ from kauffman import (
     parse,
     render,
     render_ascii,
+    rewrite,
     to_json_dict,
 )
-from kauffman.cli import main
+from kauffman.cli import EXIT_CLOSED_PIPE, main
+from kauffman.selftest import random_term
 
 from helpers import nested, side_by_side, staircase
 
@@ -64,9 +67,10 @@ def test_nf_worked_example_is_a_fixed_point(capsys):
 
 def test_nf_without_trace_skips_trace_mode(capsys, monkeypatch):
     def refuse(term):
-        raise AssertionError("nf without --trace ran trace-mode normalize")
+        raise AssertionError("nf without --trace ran trace-mode rewriting")
 
     monkeypatch.setattr("kauffman.cli.normalize", refuse)
+    monkeypatch.setattr("kauffman.cli.rewrite_steps", refuse)
     code, out, _ = run(capsys, "nf", "-n", "2", "h1 h1")
     assert (code, out) == (0, "c h1\n")
 
@@ -178,6 +182,53 @@ def test_nf_trace_of_a_normal_form_prints_only_the_form(capsys):
     assert run(capsys, "nf", "-n", "3", "--trace", "h1") == (0, "h1\n", "")
 
 
+def trailing_circles(k: int) -> str:
+    """h1 … hk c^k: a normal form then k circles, each moved past all k blocks by hcI."""
+    return " ".join(f"h{i}" for i in range(1, k + 1)) + f" c^{k}"
+
+
+def test_nf_trace_streams_its_steps(monkeypatch):
+    sink = LineCount()
+    monkeypatch.setattr("sys.stdout", sink)
+    tracemalloc.start()
+    try:
+        code = main(["nf", "-n", "201", "--trace", trailing_circles(200)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (code, sink.lines) == (0, 200 * 200 + 1)
+    assert peak < 2_000_000, peak
+
+
+def test_nf_trace_exit_3_keeps_the_lines_of_the_steps_before_the_failure(capsys, monkeypatch):
+    """A rule that breaks at the tenth step: the nine steps before it are on stdout."""
+    rhs, calls = rewrite._rhs, []
+
+    def breaks_at_the_tenth(x, y, tag):
+        calls.append(tag)
+        return [x, y] if len(calls) == 10 else rhs(x, y, tag)
+
+    monkeypatch.setattr(rewrite, "_rhs", breaks_at_the_tenth)
+    code, out, err = run(capsys, "nf", "-n", "11", "--trace", WORKED_SCRAMBLE)
+    assert (code, out) == (3, "".join(WORKED_SCRAMBLE_TRACE.splitlines(keepends=True)[:9]))
+    assert err.startswith("internal error: measure did not decrease for hcI at 6: ")
+
+
+@pytest.mark.parametrize("argv", [("enum", "-n", "9", "--pairings"),
+                                  ("nf", "-n", "201", "--trace", trailing_circles(200))])
+def test_a_closed_pipe_ends_quietly(argv):
+    """The reader takes one line and closes the pipe: no traceback, exit 141."""
+    src = str(Path(kauffman.__file__).resolve().parents[1])
+    proc = subprocess.Popen([sys.executable, "-m", "kauffman.cli", *argv],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                            env={**os.environ, "PYTHONPATH": src})
+    first = proc.stdout.readline()
+    proc.stdout.close()
+    _, err = proc.communicate(timeout=120)
+    assert (proc.returncode, err) == (EXIT_CLOSED_PIPE, b"")
+    assert first.endswith(b"\n")
+
+
 def test_diagram_json(capsys):
     code, out, _ = run(capsys, "diagram", "-n", "3", "h1 h2")
     assert code == 0
@@ -262,6 +313,43 @@ def test_term_of_rejects_bad_json(capsys, monkeypatch):
     code, _, err = run(capsys, "term-of")
     assert code == 2
     assert "error" in err
+
+
+def test_term_of_reports_json_nested_too_deep_as_invalid(capsys, monkeypatch):
+    monkeypatch.setattr("sys.stdin", io.StringIO("[" * 100000))
+    code, out, err = run(capsys, "term-of")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: invalid JSON on stdin: ")
+
+
+@pytest.mark.parametrize("method", ["slope", "peel"])
+def test_term_of_refuses_circles_over_the_bound_before_building_them(capsys, monkeypatch, method):
+    def term_of(circles):
+        blob = json.dumps({"n": 2, "pairs": [[-2, -1], [1, 2]], "circles": circles})
+        monkeypatch.setattr("sys.stdin", io.StringIO(blob))
+        return run(capsys, "term-of", "--method", method)
+
+    tracemalloc.start()
+    try:
+        results = [term_of(c) for c in (2**63, 10**30, 10**6 + 1)]
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert [(code, out) for code, out, _ in results] == [(2, "")] * 3
+    assert all("more than 1000000 circles" in err for _, _, err in results)
+    assert peak < 2_000_000, peak
+    monkeypatch.setattr("kauffman.diagrams.MAX_WORD_LENGTH", 5)
+    assert term_of(5)[:2] == (0, "c^5 h1\n")
+    assert term_of(6)[:2] == (2, "")
+
+
+def test_the_circle_bound_refuses_no_diagram_of_a_parsed_word():
+    """Each factor closes at most one circle, so a word of at most
+    MAX_WORD_LENGTH factors has a diagram within the circle bound."""
+    rng = random.Random(4242)
+    for _ in range(3000):
+        t = random_term(rng, 12, 60)
+        assert delta(t).circles <= len(t.word), t
 
 
 def test_enum_terms(capsys):

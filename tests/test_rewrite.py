@@ -19,6 +19,7 @@ from kauffman import (
     normalize,
     parse,
     rewrite,
+    rewrite_steps,
 )
 from kauffman.rewrite import STRATEGIES
 
@@ -205,6 +206,20 @@ def test_mutated_rule_is_refused(monkeypatch, rule, word):
     monkeypatch.setattr(rewrite, "_rhs", mutated_rhs)
     with pytest.raises(ConsistencyError, match=f"^measure did not decrease for {rule} at 0: "):
         normalize(parse(word, 4))
+
+
+@settings(max_examples=150)
+@given(terms_st(max_n=40, max_len=30))
+def test_rewrite_steps_streams_the_trace_then_returns_the_normal_form(t):
+    for strategy in STRATEGIES:
+        trace = normalize(t, strategy)
+        assert tuple(rewrite_steps(t, strategy)) == trace.steps
+        stream = rewrite_steps(t, strategy)
+        for _ in trace.steps:
+            next(stream)
+        with pytest.raises(StopIteration) as done:
+            next(stream)
+        assert done.value.value == trace.output
 
 
 @settings(max_examples=100)
