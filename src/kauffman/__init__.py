@@ -12,12 +12,11 @@ from .diagrams import (
     Diagram,
     compose,
     from_json_dict,
-    is_planar_pairing,
     slope_points,
     span,
     to_json_dict,
 )
-from .draw import canvas_height, render, render_ascii, render_svg
+from .draw import render
 from .enumeration import (
     enumerate_normal_forms,
     enumerate_pairings,
@@ -39,7 +38,6 @@ from .semantics import (
     decide_equal,
     decide_nf,
     delta,
-    delta_block,
     diagram_to_nf,
     nf_by_diagram,
     peel,
@@ -54,7 +52,6 @@ from .terms import (
     JonesNF,
     Measure,
     Term,
-    block_weight,
     make_block,
     measure_word,
     nf_to_term,

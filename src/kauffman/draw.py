@@ -83,19 +83,13 @@ def render_svg(d: Diagram, unit: float = UNITS["svg"], show_labels: bool = False
             "x1": _fmt(x(top)), "y1": _fmt(y(height)),
             "x2": _fmt(x(bottom)), "y2": _fmt(y(0)),
         })
-    # sweep flag 0 bows a left-to-right arc toward +y (down into the canvas)
-    for left, right in cups:
-        r = (right - left) / 2 * unit
-        ET.SubElement(group, "path", {
-            "d": f"M {_fmt(x(left))} {_fmt(y(height))} "
-                 f"A {_fmt(r)} {_fmt(r)} 0 0 0 {_fmt(x(right))} {_fmt(y(height))}",
-        })
-    for left, right in caps:
-        r = (right - left) / 2 * unit
-        ET.SubElement(group, "path", {
-            "d": f"M {_fmt(x(left))} {_fmt(y(0))} "
-                 f"A {_fmt(r)} {_fmt(r)} 0 0 1 {_fmt(x(right))} {_fmt(y(0))}",
-        })
+    # sweep flag 0 bows a left-to-right arc toward +y (down into the canvas), 1 up
+    for arcs, edge, sweep in ((cups, _fmt(y(height)), 0), (caps, _fmt(y(0)), 1)):
+        for left, right in arcs:
+            r = _fmt((right - left) / 2 * unit)
+            ET.SubElement(group, "path", {
+                "d": f"M {_fmt(x(left))} {edge} A {r} {r} 0 0 {sweep} {_fmt(x(right))} {edge}",
+            })
     if d.circles:
         spacing = min(1.0, (height - 1) / d.circles)
         radius = min(0.25, spacing / 3) * unit
@@ -156,23 +150,17 @@ def render_ascii(d: Diagram, unit: float = UNITS["ascii"], show_labels: bool = F
         while row < rows:
             grid[row][col] = "|"
             row += 1
-    for left, right in cups:
-        dep = depth(left, right)
-        for r in range(dep):
-            grid[r][x(left)] = grid[r][x(right)] = "|"
-        grid[dep][x(left)] = "\\"
-        grid[dep][x(right)] = "/"
-        for col in range(x(left) + 1, x(right)):
-            grid[dep][col] = "_"
-    for left, right in caps:
-        dep = depth(left, right)
-        for r in range(rows - dep, rows):
-            grid[r][x(left)] = grid[r][x(right)] = "|"
-        base = rows - 1 - dep
-        grid[base][x(left)] = "/"
-        grid[base][x(right)] = "\\"
-        for col in range(x(left) + 1, x(right)):
-            grid[base][col] = "_"
+    # a cup's stems run from row 0 down to its base, a cap's from its base down to the last row
+    for arcs, is_cup, ends in ((cups, True, "\\/"), (caps, False, "/\\")):
+        for left, right in arcs:
+            dep = depth(left, right)
+            base = dep if is_cup else rows - 1 - dep
+            lcol, rcol = x(left), x(right)
+            for r in range(base) if is_cup else range(base + 1, rows):
+                grid[r][lcol] = grid[r][rcol] = "|"
+            line = grid[base]
+            line[lcol], line[rcol] = ends
+            line[lcol + 1:rcol] = "_" * (rcol - lcol - 1)
     for k in range(d.circles):
         grid[rows - 2 - (k % rows_avail)][2 * (k // rows_avail)] = "o"
 

@@ -20,7 +20,7 @@ from typing import Iterator
 
 # is_planar_pairing is unused here, but perfbench/tracing.py patches this name.
 from .diagrams import Diagram, is_planar_pairing  # noqa: F401
-from .terms import CIRCLE, Block, DomainError, JonesNF, Term
+from .terms import CIRCLE, Block, DomainError, JonesNF, Term, _check_int
 
 OPEN, CLOSE = "(", ")"
 MAX_ENUMERATION = 10**5  # most objects one enumeration or count may produce
@@ -84,8 +84,7 @@ def count_pairings(n: int) -> int:
 
     The size and the count are checked at the call; no diagram is built.
     """
-    if n < 1:
-        raise DomainError(f"diagram size must be >= 1, got {n}")
+    _check_int(n, "diagram size", 1)
     count = _catalan(n)
     _check_count(count, "pairings")
     return count
@@ -134,10 +133,8 @@ def enumerate_terms(n: int, max_len: int) -> Iterator[Term]:
     The arguments and the output size are checked at the call, before the
     stream starts.
     """
-    if n < 2:
-        raise DomainError(f"monoid size must be >= 2, got {n}")
-    if max_len < 0:
-        raise DomainError(f"term length bound must be >= 0, got {max_len}")
+    _check_int(n, "monoid size", 2)
+    _check_int(max_len, "term length bound", 0)
     count = words = 1
     for _ in range(max_len):
         words *= n
@@ -172,10 +169,8 @@ def enumerate_normal_forms(n: int, max_circles: int) -> Iterator[JonesNF]:
     The arguments and the output size are checked at the call, before the
     stream starts.
     """
-    if n < 2:
-        raise DomainError(f"monoid size must be >= 2, got {n}")
-    if max_circles < 0:
-        raise DomainError(f"circle bound must be >= 0, got {max_circles}")
+    _check_int(n, "monoid size", 2)
+    _check_int(max_circles, "circle bound", 0)
     _check_count((max_circles + 1) * _catalan(n), "normal forms")
     return (JonesNF(n, circles, blocks)
             for circles in range(max_circles + 1)

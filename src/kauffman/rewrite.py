@@ -137,30 +137,28 @@ def _reduce(word: list[Generator], strategy: str) -> Iterator[tuple[int, str]]:
 
     The caller fires the redex, replacing word[p:p+2] by its right-hand
     side, before it asks for the next one; the scan reads the word as the
-    caller left it.  The scan cursor only ever needs to back up one
-    position after a firing, because rules change the word locally; so
-    scanning costs amortized O(1) per step.
+    caller left it.  The cursor moves by `step`, +1 for leftmost and -1
+    for rightmost, and only ever needs to back up one position after a
+    firing, because rules change the word locally; so scanning costs
+    amortized O(1) per step.
     """
     if strategy not in STRATEGIES:
         raise ValueError(f"unknown strategy {strategy!r}")
-    if strategy == "leftmost":
-        p = 0
-        while p + 1 < len(word):
-            tag = _classify(word[p], word[p + 1])
-            if tag is None:
-                p += 1
-            else:
-                yield p, tag
-                p = p - 1 if p else 0
-    else:
-        p = len(word) - 2
-        while p >= 0:
-            tag = _classify(word[p], word[p + 1])
-            if tag is None:
-                p -= 1
-            else:
-                yield p, tag
-                p = min(p + 1, len(word) - 2)
+    step = 1 if strategy == "leftmost" else -1
+    last = len(word) - 2  # position of the last pair, refreshed after each firing
+    p = 0 if step == 1 else last
+    while 0 <= p <= last:
+        tag = _classify(word[p], word[p + 1])
+        if tag is None:
+            p += step
+        else:
+            yield p, tag
+            last = len(word) - 2
+            p -= step
+            if p < 0:
+                p = 0
+            elif p > last:
+                p = last
 
 
 def rewrite_steps(t: Term, strategy: str = "leftmost") -> Stream[RewriteStep, None, JonesNF]:

@@ -36,27 +36,28 @@ Two extraction procedures invert delta on normal forms:
   boundary, so the new thread (L', j) would cross L-R.
 
   All steps rewire one mutable copy of the partner map.  The span-1 cups
-  wait in a max-heap of j, stale entries skipped when popped; a step can
-  only open the cups at j-1 and j+1.  The first crossed thread is found
-  by two cursors that walk the boundary away from the cup, one step each
-  in turn: one left of the cut (top j-1..1, then bottom -1..-j), one
-  right of it (top j+2..n, then bottom -n..-(j+1)).  A thread with both
-  ends on a cursor's side cannot cross the cut and is jumped over in one
-  step; the crossing threads are parallel chords between the two sides,
-  so whichever cursor meets one first meets the nearest.  Each step is
-  checked in O(1): stacking H^j back on the four touched entries, by the
-  move `delta` makes per diapsis, must restore them, and the span must
-  drop by exactly 2.  The whole word is checked once, at the end: its
-  `delta` must be the input diagram.  The cost is O(span/2 + n); the
-  scan visited at most 2 (steps + n) codes on every family measured
-  (staircases, side-by-side cups, random pairings), which is not a
-  proof.  A diagram whose span/2, the length of the word, or whose size
-  exceeds MAX_WORD_LENGTH is refused before the first step.
+  wait on a stack, ascending in j.  Once the greatest is popped, the rest
+  lie at j-2 or below; the step touches only L, j, R and j+1, none of them
+  the end of a stacked cup, and can open only the cups at j-1 and j+1,
+  pushed in that order.  So the top is always the greatest cup, and a
+  popped entry that is no cup raises ConsistencyError.  The first crossed
+  thread is found by two cursors that walk the boundary away from the cup,
+  one step each in turn: one left of the cut (top j-1..1, then bottom
+  -1..-j), one right of it (top j+2..n, then bottom -n..-(j+1)).  A thread
+  with both ends on a cursor's side cannot cross the cut and is jumped
+  over in one step; the crossing threads are parallel chords between the
+  two sides, so whichever cursor meets one first meets the nearest.  Each
+  step is checked in O(1): stacking H^j back on the four touched entries,
+  by the move `delta` makes per diapsis, must restore them, and the span
+  must drop by exactly 2.  The whole word is checked once, at the end: its
+  `delta` must be the input diagram.  The cost is O(span/2 + n); the scan
+  visited at most 2 (steps + n) codes on every family measured
+  (staircases, side-by-side cups, random pairings), which is not a proof.
+  A diagram whose span/2, the length of the word, or whose size exceeds
+  MAX_WORD_LENGTH is refused before the first step.
 """
 
 from __future__ import annotations
-
-import heapq
 
 # compose is unused here and delta_block only by the tests, but perfbench/tracing.py patches both.
 from .diagrams import Diagram, compose, slope_points, slope_points_of, span  # noqa: F401
@@ -241,15 +242,14 @@ def peel(d: Diagram) -> Term:
     if size // 2 > MAX_WORD_LENGTH:
         raise DomainError(f"peeled word longer than {MAX_WORD_LENGTH} diapsides")
     mate = dict(d.involution)
-    cups = [-i for i in range(1, n) if mate[i] == i + 1]
-    heapq.heapify(cups)
+    cups = [i for i in range(1, n) if mate[i] == i + 1]  # ascending: the greatest on top
     indices = []
     while size > 0:
-        while cups and mate[-cups[0]] != -cups[0] + 1:
-            heapq.heappop(cups)  # a cup a step has since rewired
         if not cups:
             raise ConsistencyError("positive span but no span-1 cup")
-        j = -heapq.heappop(cups)
+        j = cups.pop()
+        if mate[j] != j + 1:
+            raise ConsistencyError(f"stacked cup ({j}, {j + 1}) was rewired")
         left, right = _first_crossed(mate, n, j)
         mate[left], mate[j], mate[right], mate[j + 1] = j, left, j + 1, right
         a, b = abs(left), abs(right)  # positions of the crossed thread's ends
@@ -259,9 +259,9 @@ def peel(d: Diagram) -> Term:
         if _stack(touched, j) or touched != {left: right, right: left, j: j + 1, j + 1: j}:
             raise ConsistencyError("peel step does not recompose")
         if left == j - 1:
-            heapq.heappush(cups, 1 - j)
+            cups.append(j - 1)
         if right == j + 2:
-            heapq.heappush(cups, -j - 1)
+            cups.append(j + 1)
         indices.append(j)
         size -= 2
     diapsis = {j: Block(j, j) for j in set(indices)}

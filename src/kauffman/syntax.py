@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import re
 
-from .terms import CIRCLE, Block, Circle, DomainError, Generator, Term, make_block
+from .terms import CIRCLE, Block, Circle, DomainError, Generator, Term, _check_int, make_block
 
 MAX_WORD_LENGTH = 10**6  # factors in a parsed word, after circle powers are unboxed
 
@@ -64,8 +64,9 @@ def _nat(digits: str, width: int) -> int | None:
 
 def parse(text: str, n: int) -> Term:
     """Parse a term of K_n; raises ParseError or DomainError."""
-    if n < 2:
-        raise DomainError(f"monoid size must be >= 2, got {n}")
+    _check_int(n, "monoid size", 2)
+    if not isinstance(text, str):
+        raise DomainError(f"term text must be a string, got {text!r}")
     index_width, power_width = len(str(n - 1)), len(str(MAX_WORD_LENGTH))
     blocks: dict[tuple[str, str], Block] = {}  # digit strings -> checked block
     word: list[Generator] = []

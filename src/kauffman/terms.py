@@ -54,23 +54,20 @@ def _check_block(n: int, b: int, a: int) -> None:
         raise DomainError(f"lower block index {a} exceeds upper index {b}")
 
 
-def _check_size(n: int) -> None:
-    if type(n) is not int:
-        raise DomainError(f"monoid size must be an integer, got {n!r}")
-    if n < 2:
-        raise DomainError(f"monoid size must be >= 2, got {n}")
+def _check_int(value: int, what: str, low: int) -> None:
+    """Refuse, with DomainError, a `value` that is not an int of at least `low`."""
+    # type() rather than isinstance(): bool is an int subclass and is refused too
+    if type(value) is not int:
+        raise DomainError(f"{what} must be an integer, got {value!r}")
+    if value < low:
+        raise DomainError(f"{what} must be >= {low}, got {value}")
 
 
 def make_block(n: int, b: int, a: int) -> Block:
     """Return the block h^[b,a] of K_n, checking 1 <= a <= b <= n-1."""
-    _check_size(n)
+    _check_int(n, "monoid size", 2)
     _check_block(n, b, a)
     return Block(b, a)
-
-
-def block_weight(g: Block) -> int:
-    """Weight of a block: upper - lower + 2 (a diapsis weighs 2)."""
-    return g.upper - g.lower + 2
 
 
 @dataclass(frozen=True)
@@ -81,13 +78,16 @@ class Term:
     word: tuple[Generator, ...] = ()
 
     def __post_init__(self) -> None:
-        _check_size(self.n)
-        object.__setattr__(self, "word", tuple(self.word))
+        _check_int(self.n, "monoid size", 2)
+        try:
+            object.__setattr__(self, "word", tuple(self.word))
+        except TypeError:
+            raise DomainError(f"word must be iterable, got {self.word!r}") from None
         for g in self.word:
             if isinstance(g, Block):
                 _check_block(self.n, g.upper, g.lower)
             elif not isinstance(g, Circle):
-                raise TypeError(f"not a generator: {g!r}")
+                raise DomainError(f"not a generator: {g!r}")
 
 
 @dataclass(frozen=True)
@@ -104,11 +104,8 @@ class JonesNF:
     blocks: tuple[tuple[int, int], ...] = ()
 
     def __post_init__(self) -> None:
-        _check_size(self.n)
-        if type(self.circles) is not int:
-            raise DomainError(f"circle count must be an integer, got {self.circles!r}")
-        if self.circles < 0:
-            raise DomainError(f"circle count must be >= 0, got {self.circles}")
+        _check_int(self.n, "monoid size", 2)
+        _check_int(self.circles, "circle count", 0)
         if not all(isinstance(p, (tuple, list)) and len(p) == 2 for p in self.blocks):
             raise DomainError("blocks must be (upper, lower) pairs")
         object.__setattr__(self, "blocks", tuple(tuple(p) for p in self.blocks))
@@ -132,18 +129,19 @@ class Measure(NamedTuple):
 def measure_word(word: tuple[Generator, ...]) -> Measure:
     """Complexity measure of a word, from the definition.
 
-    n1 sums block weights.  n2 sums, over every block, the number of later
-    blocks whose upper or lower index it dominates (>=), plus, over every
-    circle, the number of blocks to its left.  Flat words carry no explicit
-    unit, so the unit contributes nothing.  One pass counts it: each block
-    is weighed and compared with the blocks before it as it is read.
+    n1 sums block weights, upper - lower + 2 each.  n2 sums, over every
+    block, the number of later blocks whose upper or lower index it
+    dominates (>=), plus, over every circle, the number of blocks to its
+    left.  Flat words carry no explicit unit, so the unit contributes
+    nothing.  One pass counts it: each block is weighed and compared with
+    the blocks before it as it is read.
     """
     n1 = n2 = 0
     pairs: list[tuple[int, int]] = []  # (upper, lower) of the blocks read so far
     for g in word:
         if isinstance(g, Block):
             b, a = g.upper, g.lower
-            n1 += b - a + 2  # block_weight(g)
+            n1 += b - a + 2
             for upper, lower in pairs:
                 if upper >= b or lower >= a:
                     n2 += 1

@@ -25,10 +25,10 @@ from kauffman import (
     Term,
     compose,
     delta,
-    is_planar_pairing,
     nf_to_term,
     peel,
 )
+from kauffman.diagrams import is_planar_pairing
 from kauffman.rewrite import _classify, _rhs
 from kauffman.selftest import random_term  # noqa: F401  (shared with selftest)
 

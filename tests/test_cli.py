@@ -22,11 +22,11 @@ from kauffman import (
     normalize,
     parse,
     render,
-    render_ascii,
     rewrite,
     to_json_dict,
 )
 from kauffman.cli import EXIT_CLOSED_PIPE, main
+from kauffman.draw import render_ascii
 from kauffman.selftest import random_term
 
 from helpers import nested, side_by_side, staircase
@@ -160,6 +160,47 @@ hII@6: h[3,2] h1 => h[3,1]
 hII@10: h10 h9 => h[10,9]
 c^6 h[3,1] h4 h7 h[9,8] h[10,9]
 """
+
+
+WORKED_SCRAMBLE_RIGHTMOST_TRACE = """\
+hII@13: h10 h9 => h[10,9]
+hI@11: h8 h1 => h1 h8
+hI@10: h9 h1 => h1 h9
+hII@11: h9 h8 => h[9,8]
+hII@9: h2 h1 => h[2,1]
+hcI@5: h7 c => c h7
+hcI@6: h7 c => c h7
+hcI@7: h7 c => c h7
+hI@8: h7 h[2,1] => h[2,1] h7
+hcI@2: h4 c => c h4
+hcI@3: h4 c => c h4
+hcI@4: h4 c => c h4
+hcI@5: h4 c => c h4
+hcI@6: h4 c => c h4
+hI@7: h4 h[2,1] => h[2,1] h4
+hcI@1: h4 c => c h4
+hcI@2: h4 c => c h4
+hcI@3: h4 c => c h4
+hcI@4: h4 c => c h4
+hcI@5: h4 c => c h4
+hI@6: h4 h[2,1] => h[2,1] h4
+hcII@7: h4 h4 => c h4
+hcI@6: h[2,1] c => c h[2,1]
+hcI@0: h3 c => c h3
+hcI@1: h3 c => c h3
+hcI@2: h3 c => c h3
+hcI@3: h3 c => c h3
+hcI@4: h3 c => c h3
+hcI@5: h3 c => c h3
+hII@6: h3 h[2,1] => h[3,1]
+c^6 h[3,1] h4 h7 h[9,8] h[10,9]
+"""
+
+
+def test_rightmost_trace_of_the_worked_scramble():
+    trace = normalize(parse(WORKED_SCRAMBLE, 11), "rightmost")
+    lines = [format_step(s) for s in trace.steps] + [format_term(nf_to_term(trace.output))]
+    assert "".join(line + "\n" for line in lines) == WORKED_SCRAMBLE_RIGHTMOST_TRACE
 
 
 def test_nf_trace_worked_scramble_text(capsys):

@@ -12,16 +12,16 @@ from kauffman import (
     DomainError,
     compose,
     delta,
-    delta_block,
     enumerate_pairings,
     from_json_dict,
-    is_planar_pairing,
     parenword_to_pairing,
     parse,
     slope_points,
     span,
     to_json_dict,
 )
+from kauffman.diagrams import is_planar_pairing
+from kauffman.semantics import delta_block
 
 from helpers import (compose_oracle, covers, diapsis_diagram, identity, is_exact_cover,
                      is_planar_matching, thread_class)

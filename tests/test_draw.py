@@ -5,13 +5,12 @@ import pytest
 from kauffman import (
     Diagram,
     DomainError,
-    canvas_height,
     delta,
     enumerate_pairings,
     parse,
     render,
-    render_ascii,
 )
+from kauffman.draw import canvas_height, render_ascii
 
 from helpers import diapsis_diagram, identity
 
@@ -32,6 +31,61 @@ def test_canvas_height():
     assert canvas_height(2) == 5
     assert canvas_height(3) == 5
     assert canvas_height(11) == 45
+
+
+# Nested cups and caps, a transversal slanting each way and two circles.
+GOLDEN_DIAGRAM = Diagram(10, ((1, 4), (2, 3), (6, 7), (8, 9), (5, -7), (10, -8),
+                              (-1, -6), (-2, -5), (-3, -4), (-9, -10)), 2)
+GOLDEN_SVG = (
+    '<svg xmlns="http://www.w3.org/2000/svg" width="264" height="864" viewBox="0 0 264 864">'
+    '<g fill="none" stroke="black" stroke-width="1.5">'
+    '<line x1="240" y1="0" x2="192" y2="864" /><line x1="120" y1="0" x2="168" y2="864" />'
+    '<path d="M 24 0 A 36 36 0 0 0 96 0" /><path d="M 48 0 A 12 12 0 0 0 72 0" />'
+    '<path d="M 144 0 A 12 12 0 0 0 168 0" /><path d="M 192 0 A 12 12 0 0 0 216 0" />'
+    '<path d="M 216 864 A 12 12 0 0 1 240 864" />'
+    '<path d="M 24 864 A 60 60 0 0 1 144 864" />'
+    '<path d="M 48 864 A 36 36 0 0 1 120 864" />'
+    '<path d="M 72 864 A 12 12 0 0 1 96 864" /><circle cx="12" cy="852" r="6" />'
+    '<circle cx="12" cy="828" r="6" /></g><g font-size="12" text-anchor="middle">'
+    '<text x="24" y="12">1</text><text x="24" y="859.2">1</text>'
+    '<text x="48" y="12">2</text><text x="48" y="859.2">2</text>'
+    '<text x="72" y="12">3</text><text x="72" y="859.2">3</text>'
+    '<text x="96" y="12">4</text><text x="96" y="859.2">4</text>'
+    '<text x="120" y="12">5</text><text x="120" y="859.2">5</text>'
+    '<text x="144" y="12">6</text><text x="144" y="859.2">6</text>'
+    '<text x="168" y="12">7</text><text x="168" y="859.2">7</text>'
+    '<text x="192" y="12">8</text><text x="192" y="859.2">8</text>'
+    '<text x="216" y="12">9</text><text x="216" y="859.2">9</text>'
+    '<text x="240" y="12">10</text><text x="240" y="859.2">10</text></g></svg>'
+)
+GOLDEN_ASCII = r"""
+    1   2   3   4   5   6   7   8   9   0
+    |   |   |   |   \   |   |   |   |   /
+    |   |   |   |    \  |   |   |   |  /
+    |   \___/   |     \ \___/   \___/ /
+    |           |      \             /
+    |           |       \           /
+    |           |        \         /
+    \___________/         \       /
+                           \     /
+    /___________________\   |   |
+    |                   |   |   |
+    |                   |   |   |
+    |                   |   |   |
+    |   /___________\   |   |   |
+    |   |           |   |   |   |
+    |   |           |   |   |   |
+    |   |           |   |   |   |
+o   |   |   /___\   |   |   |   |   /___\
+o   |   |   |   |   |   |   |   |   |   |
+    |   |   |   |   |   |   |   |   |   |
+    1   2   3   4   5   6   7   8   9   0
+"""
+
+
+def test_golden_drawings():
+    assert render(GOLDEN_DIAGRAM, "svg", show_labels=True) == GOLDEN_SVG
+    assert "\n" + render(GOLDEN_DIAGRAM, "ascii", show_labels=True) + "\n" == GOLDEN_ASCII
 
 
 def test_identity_svg_has_only_lines():

@@ -17,12 +17,10 @@ from kauffman import (
     decide_equal,
     decide_nf,
     delta,
-    delta_block,
     diagram_to_nf,
     enumerate_normal_forms,
     enumerate_pairings,
     enumerate_terms,
-    is_planar_pairing,
     nf_by_diagram,
     nf_to_term,
     normal_form,
@@ -33,7 +31,8 @@ from kauffman import (
     span,
 )
 from kauffman import semantics
-from kauffman.semantics import DIAGRAM_ROUTE_WIDTH, _stack
+from kauffman.diagrams import is_planar_pairing
+from kauffman.semantics import DIAGRAM_ROUTE_WIDTH, _first_crossed, _stack, delta_block
 
 from helpers import (compose_fold, diapsis_diagram, expand, identity, normal_forms_st,
                      nested, peel_states, terms_st)
@@ -354,12 +353,20 @@ def _broken_stack(mate, i):
     return 0
 
 
+def _rewires_the_cup_below(mate, n, j):
+    ends = _first_crossed(mate, n, j)
+    if mate.get(j - 2) == j - 1:  # the cup just below the top of the stack
+        mate[j - 2] = 2 - j
+    return ends
+
+
 @pytest.mark.parametrize("name, fault, message", [
     ("_first_crossed", lambda mate, n, j: (j - 1, mate[j - 1]), "span by != 2"),
     ("_stack", _broken_stack, "does not recompose"),
     ("span", lambda d: span(d) + 2, "no span-1 cup"),
     ("delta", lambda t: delta(Term(t.n)), "does not evaluate"),
-], ids=["scan", "stack", "span", "delta"])
+    ("_first_crossed", _rewires_the_cup_below, r"stacked cup \(2, 3\) was rewired"),
+], ids=["scan", "stack", "span", "delta", "stale-cup"])
 def test_peel_checks_raise_consistency_error(monkeypatch, name, fault, message):
     # a fault in any part of peel is caught by one of its checks
     d = nested(6)

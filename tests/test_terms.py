@@ -9,10 +9,15 @@ from kauffman import (
     JonesNF,
     Measure,
     Term,
+    enumerate_normal_forms,
+    enumerate_pairings,
+    enumerate_terms,
     make_block,
     measure_word,
     nf_to_term,
+    parse,
 )
+from kauffman.enumeration import count_pairings
 
 from helpers import expand, normal_forms_st, terms_st
 
@@ -54,12 +59,54 @@ def test_term_validates_blocks_against_size():
     lambda: JonesNF(3.0, 0, ((2.0, 1),)),
     lambda: JonesNF(3, 0, ((2, 1.0),)),
     lambda: JonesNF("3"),
+    lambda: Term(3, ("h1",)),
+    lambda: Term(3, None),
+    lambda: parse(None, 3),
+    lambda: parse(b"h1", 3),
 ], ids=["bool-and-float-index", "float-index", "str-index", "float-size",
         "bool-circles", "float-circles", "float-size-and-index", "float-nf-index",
-        "str-nf-size"])
+        "str-nf-size", "str-factor", "None-word", "None-text", "bytes-text"])
 def test_sizes_circles_and_indices_must_be_integers(build):
     with pytest.raises(DomainError):
         build()
+
+
+# Every size or count argument of the library, as a call of that one argument.
+INT_ARGUMENTS = {
+    "parse-n": lambda v: parse("h1", v),
+    "Term-n": lambda v: Term(v),
+    "JonesNF-n": lambda v: JonesNF(v),
+    "JonesNF-circles": lambda v: JonesNF(3, v),
+    "enumerate_terms-n": lambda v: enumerate_terms(v, 2),
+    "enumerate_terms-max_len": lambda v: enumerate_terms(3, v),
+    "enumerate_normal_forms-n": lambda v: enumerate_normal_forms(v, 1),
+    "enumerate_normal_forms-max_circles": lambda v: enumerate_normal_forms(3, v),
+    "enumerate_pairings-n": lambda v: enumerate_pairings(v),
+    "count_pairings-n": lambda v: count_pairings(v),
+}
+
+
+@pytest.mark.parametrize("value", ["5", 2.5, None, True], ids=["str", "float", "None", "bool"])
+@pytest.mark.parametrize("call", INT_ARGUMENTS.values(), ids=INT_ARGUMENTS.keys())
+def test_size_and_count_arguments_refuse_non_integers(call, value):
+    with pytest.raises(DomainError, match=f"must be an integer, got {value!r}$"):
+        call(value)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: parse("1", 1), "monoid size must be >= 2, got 1"),
+    (lambda: Term(0), "monoid size must be >= 2, got 0"),
+    (lambda: JonesNF(3, -1), "circle count must be >= 0, got -1"),
+    (lambda: enumerate_terms(1, 3), "monoid size must be >= 2, got 1"),
+    (lambda: enumerate_terms(3, -5), "term length bound must be >= 0, got -5"),
+    (lambda: enumerate_normal_forms(3, -1), "circle bound must be >= 0, got -1"),
+    (lambda: enumerate_pairings(0), "diagram size must be >= 1, got 0"),
+    (lambda: count_pairings(-2), "diagram size must be >= 1, got -2"),
+])
+def test_integer_arguments_out_of_range_keep_their_messages(call, message):
+    with pytest.raises(DomainError) as err:
+        call()
+    assert str(err.value) == message
 
 
 def test_expand_unit_and_singulars():
