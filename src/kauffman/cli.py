@@ -5,10 +5,11 @@ selftest, 2 parse or domain errors, 3 internal cross-check failures,
 141 (128 + SIGPIPE, as a shell reports a pipe writer that SIGPIPE ended)
 when the reader of stdout closed it before the output ended.
 
-Output is written as it is produced: `enum` writes one line per object
-and `nf --trace` one line per rewrite step as the step fires, so neither
-keeps its output in memory; a failure partway leaves the lines written
-before it on stdout.
+Output is written as it is produced: `enum` writes one line per object,
+and `nf --trace` writes one line per rewrite step as the step fires, up
+to TRACE_CHUNK lines per write, so neither holds its whole output in
+memory; a failure partway leaves the lines of everything before it on
+stdout.
 """
 
 from __future__ import annotations
@@ -36,6 +37,7 @@ from .syntax import ParseError, format_term, parse
 from .terms import DomainError, nf_to_term
 
 EXIT_CLOSED_PIPE = 141
+TRACE_CHUNK = 512  # nf --trace lines per write
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -103,12 +105,18 @@ def _build_parser() -> argparse.ArgumentParser:
 def _cmd_nf(args) -> int:
     term = parse(args.term, args.n)
     if args.trace:
-        steps, write = rewrite_steps(term), sys.stdout.write
+        steps, lines, write = rewrite_steps(term), [], sys.stdout.write
         try:
             while True:
-                write(format_step(next(steps)) + "\n")
+                lines.append(format_step(next(steps)))
+                if len(lines) == TRACE_CHUNK:
+                    chunk, lines = lines, []
+                    write("\n".join(chunk) + "\n")
         except StopIteration as done:
             nf = done.value
+        finally:  # on a failing step too: the lines of the steps before it
+            if lines:
+                write("\n".join(lines) + "\n")
     else:
         nf = decide_nf(term)
     print(format_term(nf_to_term(nf)))

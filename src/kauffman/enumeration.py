@@ -108,6 +108,9 @@ def pairing_to_parenword(d: Diagram) -> str:
 
 def parenword_to_pairing(word: str, n: int) -> Diagram:
     """Inverse of pairing_to_parenword; the word must balance with 2n symbols."""
+    _check_int(n, "diagram size", 1)
+    if not isinstance(word, str):
+        raise DomainError(f"parenthetical word must be a string, got {word!r}")
     if len(word) != 2 * n:
         raise DomainError(f"expected {2 * n} symbols, got {len(word)}")
     codes = (*range(-n, 0), *range(1, n + 1))

@@ -46,6 +46,7 @@ from __future__ import annotations
 # collections.abc's Generator, renamed: here a Generator is a generator of the monoid
 from collections.abc import Generator as Stream, Iterator
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .syntax import format_word
 from .terms import CIRCLE, Block, Circle, Generator, JonesNF, Term, measure_word
@@ -57,8 +58,7 @@ class ConsistencyError(RuntimeError):
     """An internal invariant failed (rule misuse or cross-check disagreement)."""
 
 
-@dataclass(frozen=True)
-class RewriteStep:
+class RewriteStep(NamedTuple):
     """One redex firing: rule tag, word index, and the local before/after words."""
 
     rule: str
@@ -100,23 +100,23 @@ def _classify(x: Generator, y: Generator) -> str | None:
     return None
 
 
-def _rhs(x: Generator, y: Generator, rule: str) -> list[Generator]:
+def _rhs(x: Generator, y: Generator, rule: str) -> tuple[Generator, ...]:
     if rule == "hcI":
-        return [CIRCLE, x]
+        return (CIRCLE, x)
     if rule == "hI":
-        return [y, x]
+        return (y, x)
     i, j = x.upper, x.lower
     k, l = y.upper, y.lower
     if rule == "hII":
-        return [Block(i, l)]
+        return (Block(i, l),)
     if rule == "hcII":
-        return [CIRCLE, Block(i, l)]
+        return (CIRCLE, Block(i, l))
     if rule == "hIII.1":
-        return [Block(k - 2, l), Block(i, j + 2)]
+        return (Block(k - 2, l), Block(i, j + 2))
     if rule == "hIII.2":
-        return [Block(i, l), Block(k, j + 2)]
+        return (Block(i, l), Block(k, j + 2))
     if rule == "hIII.3":
-        return [Block(k - 2, j), Block(i, l)]
+        return (Block(k - 2, j), Block(i, l))
     raise ConsistencyError(f"unknown rule tag {rule!r}")
 
 
@@ -171,13 +171,29 @@ def rewrite_steps(t: Term, strategy: str = "leftmost") -> Stream[RewriteStep, No
     relations to the rest of the word, so the pair's n2 change is the
     word's.  A step that fails the check raises ConsistencyError before
     it is yielded.
+
+    The check reads the pair's indices directly.  n1 is the sum of
+    upper - lower + 2 over the blocks.  n2 of a two-generator word u v is
+    1 when u is a block followed by a circle or by a block that u
+    dominates in either index, else 0; of two blocks one always dominates
+    the other, so the swap x y -> y x lowers n2 exactly when y is a circle
+    or a block that dominates x in neither index.  That is `measure_word`
+    on words of length <= 2, which is called only to word the error.
     """
     word = list(t.word)
     for p, tag in _reduce(word, strategy):
-        x, y = word[p], word[p + 1]
-        rhs = tuple(_rhs(x, y, tag))
-        before, after = measure_word((x, y)), measure_word(rhs)
-        if not (after.n1 < before.n1 or (rhs == (y, x) and after.n2 < before.n2)):
+        x, y = word[p], word[p + 1]  # x is a block: no redex starts with a circle
+        rhs = tuple(_rhs(x, y, tag))  # no copy: tuple() returns a tuple as it is
+        y_block = isinstance(y, Block)
+        n1_drop = x.upper - x.lower + 2
+        if y_block:
+            n1_drop += y.upper - y.lower + 2
+        for g in rhs:
+            if isinstance(g, Block):
+                n1_drop -= g.upper - g.lower + 2
+        if n1_drop <= 0 and (rhs != (y, x)
+                             or y_block and (y.upper >= x.upper or y.lower >= x.lower)):
+            before, after = measure_word((x, y)), measure_word(rhs)
             raise ConsistencyError(
                 f"measure did not decrease for {tag} at {p}: pair {tuple(before)} -> {tuple(after)}")
         word[p:p + 2] = rhs
@@ -210,7 +226,7 @@ def normal_form(t: Term, strategy: str = "leftmost") -> JonesNF:
         rhs = _rhs(word[p], word[p + 1], tag)
         if tag == "hcII":
             circles += 1
-            del rhs[0]
+            rhs = rhs[1:]
         word[p:p + 2] = rhs
     return JonesNF(t.n, circles, tuple((g.upper, g.lower) for g in word))
 

@@ -15,15 +15,16 @@ full, is refused with a ParseError before it is built, so a short text
 such as "c^1000000000" allocates nothing of its power's size.
 
 Each factor, with the separators before it, is one regex match.  Each
-distinct block text is checked once per call: its digit strings key a
-dict of the blocks already built, so a repeated factor costs a lookup.
+distinct block factor is checked once per call: its text keys a dict of
+the blocks already built, so a repeated factor costs one group lookup
+and one dict lookup.
 """
 
 from __future__ import annotations
 
 import re
 
-from .terms import CIRCLE, Block, Circle, DomainError, Generator, Term, _check_int, make_block
+from .terms import CIRCLE, Block, DomainError, Generator, Term, _check_int, make_block
 
 MAX_WORD_LENGTH = 10**6  # factors in a parsed word, after circle powers are unboxed
 
@@ -50,6 +51,7 @@ _TOKEN = re.compile(
     re.VERBOSE,
 )
 _SEPARATORS = re.compile(r"[\s*]*")
+_CIRCLE_RUN = re.compile(r"c(?: c)+")
 
 
 def _nat(digits: str, width: int) -> int | None:
@@ -68,62 +70,59 @@ def parse(text: str, n: int) -> Term:
     if not isinstance(text, str):
         raise DomainError(f"term text must be a string, got {text!r}")
     index_width, power_width = len(str(n - 1)), len(str(MAX_WORD_LENGTH))
-    blocks: dict[tuple[str, str], Block] = {}  # digit strings -> checked block
+    blocks: dict[str, Block] = {}  # factor text -> checked block
     word: list[Generator] = []
+    match, append, end = _TOKEN.match, word.append, len(text)
     pos = 0
-    while pos < len(text):
-        m = _TOKEN.match(text, pos)  # separators, then one factor or the end
+    while pos < end:
+        m = match(text, pos)  # separators, then one factor or the end
         if m is None:
             pos = _SEPARATORS.match(text, pos).end()
             raise ParseError(pos, f"unexpected character {text[pos]!r}")
         kind = m.lastgroup  # the outermost group of the alternative that matched
-        if kind == "circle":
-            power = m.group("power")
+        if kind in ("block", "diapsis"):
+            if len(word) == MAX_WORD_LENGTH:
+                raise ParseError(m.start(kind), f"word longer than {MAX_WORD_LENGTH} factors")
+            factor = m[kind]
+            g = blocks.get(factor)
+            if g is None:
+                start = m.start(kind)
+                digits = m.group("b", "a") if kind == "block" else (m["i"],) * 2
+                b, a = _nat(digits[0], index_width), _nat(digits[1], index_width)
+                if b is None or a is None:
+                    raise DomainError(f"offset {start}: block index exceeds n-1 = {n - 1}")
+                try:
+                    g = blocks[factor] = make_block(n, b, a)
+                except DomainError as e:
+                    raise DomainError(f"offset {start}: {e}") from None
+            append(g)
+        elif kind == "circle":
+            power = m["power"]
             k = 1 if power is None else _nat(power, power_width)
             if k is None or len(word) + k > MAX_WORD_LENGTH:
                 raise ParseError(m.start("circle" if power is None else "power"),
                                  f"word longer than {MAX_WORD_LENGTH} factors")
             word.extend([CIRCLE] * k)
-        elif kind in ("block", "diapsis"):
-            start = m.start(kind)
-            if len(word) == MAX_WORD_LENGTH:
-                raise ParseError(start, f"word longer than {MAX_WORD_LENGTH} factors")
-            key = m.group("b", "a") if kind == "block" else (m.group("i"),) * 2
-            g = blocks.get(key)
-            if g is None:
-                b, a = _nat(key[0], index_width), _nat(key[1], index_width)
-                if b is None or a is None:
-                    raise DomainError(f"offset {start}: block index exceeds n-1 = {n - 1}")
-                try:
-                    g = blocks[key] = make_block(n, b, a)
-                except DomainError as e:
-                    raise DomainError(f"offset {start}: {e}") from None
-            word.append(g)
         # "1" and the end of the text contribute nothing
         pos = m.end()
     return Term(n, tuple(word))
 
 
+def _circle_power(run: re.Match) -> str:
+    return f"c^{(len(run[0]) + 1) // 2}"  # k circles are 2k - 1 characters
+
+
 def format_word(word: tuple[Generator, ...]) -> str:
-    """Canonical rendering of a bare word (no size attached)."""
+    """Canonical rendering of a bare word (no size attached).
+
+    The generators' texts are joined, then each run of two or more
+    circles is contracted to a power; a block's text never holds a "c",
+    so "c c" occurs exactly where two circles are adjacent.
+    """
     if not word:
         return "1"
-    parts: list[str] = []
-    run = 0
-    for g in word:
-        if isinstance(g, Circle):
-            run += 1
-            continue
-        if run:
-            parts.append("c" if run == 1 else f"c^{run}")
-            run = 0
-        if g.upper == g.lower:
-            parts.append(f"h{g.upper}")
-        else:
-            parts.append(f"h[{g.upper},{g.lower}]")
-    if run:
-        parts.append("c" if run == 1 else f"c^{run}")
-    return " ".join(parts)
+    text = " ".join([g.text for g in word])
+    return _CIRCLE_RUN.sub(_circle_power, text) if "c c" in text else text
 
 
 def format_term(t: Term) -> str:

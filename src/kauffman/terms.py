@@ -24,6 +24,22 @@ class DomainError(ValueError):
     """An index or size constraint of the monoid was violated."""
 
 
+class _BlockText:
+    """The canonical text of a block, "hi" for a diapsis and "h[b,a]" otherwise.
+
+    Built on first use and kept in the block's __dict__, which shadows
+    this non-data descriptor from then on; no lock and no dataclass
+    field, so building and comparing blocks cost what they did.
+    """
+
+    def __get__(self, block: Block | None, owner: type) -> str | _BlockText:
+        if block is None:  # looked up on the class
+            return self
+        b, a = block.upper, block.lower
+        text = block.__dict__["text"] = f"h{b}" if b == a else f"h[{b},{a}]"
+        return text
+
+
 @dataclass(frozen=True)
 class Block:
     """The block generator h^[upper,lower]; a diapsis when upper == lower."""
@@ -31,10 +47,14 @@ class Block:
     upper: int
     lower: int
 
+    text = _BlockText()
+
 
 @dataclass(frozen=True)
 class Circle:
     """The circle generator c."""
+
+    text = "c"
 
 
 CIRCLE = Circle()
@@ -83,7 +103,8 @@ class Term:
             object.__setattr__(self, "word", tuple(self.word))
         except TypeError:
             raise DomainError(f"word must be iterable, got {self.word!r}") from None
-        for g in self.word:
+        # each distinct generator object once: parsed words share their blocks
+        for g in dict(zip(map(id, self.word), self.word)).values():
             if isinstance(g, Block):
                 _check_block(self.n, g.upper, g.lower)
             elif not isinstance(g, Circle):
@@ -106,9 +127,13 @@ class JonesNF:
     def __post_init__(self) -> None:
         _check_int(self.n, "monoid size", 2)
         _check_int(self.circles, "circle count", 0)
-        if not all(isinstance(p, (tuple, list)) and len(p) == 2 for p in self.blocks):
+        try:
+            blocks = tuple(self.blocks)
+        except TypeError:
+            raise DomainError(f"blocks must be iterable, got {self.blocks!r}") from None
+        if not all(isinstance(p, (tuple, list)) and len(p) == 2 for p in blocks):
             raise DomainError("blocks must be (upper, lower) pairs")
-        object.__setattr__(self, "blocks", tuple(tuple(p) for p in self.blocks))
+        object.__setattr__(self, "blocks", tuple(tuple(p) for p in blocks))
         prev_b = prev_a = 0
         for b, a in self.blocks:
             _check_block(self.n, b, a)

@@ -1,8 +1,9 @@
 """Shared generators and independent oracles for the test suite.
 
-The naive stepper (`find_redex`, `apply_rule`), `expand`, `identity` and
-the hand-built `diapsis_diagram` are used by the tests only, so they live
-here rather than in the package.
+The naive stepper (`find_redex`, `apply_rule`), `expand`, `identity`,
+the hand-built `diapsis_diagram` and the generator-by-generator
+`format_word_reference` are used by the tests only, so they live here
+rather than in the package.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ from hypothesis import strategies as st
 from kauffman import (
     CIRCLE,
     Block,
+    Circle,
     ConsistencyError,
     Diagram,
     DomainError,
@@ -80,6 +82,28 @@ def apply_rule(t: Term, position: int, rule: str) -> Term:
         )
     word[position:position + 2] = _rhs(word[position], word[position + 1], rule)
     return Term(t.n, tuple(word))
+
+
+def format_word_reference(word: tuple[Generator, ...]) -> str:
+    """Canonical text of a word, one generator at a time: the oracle of `format_word`."""
+    if not word:
+        return "1"
+    parts: list[str] = []
+    run = 0
+    for g in word:
+        if isinstance(g, Circle):
+            run += 1
+            continue
+        if run:
+            parts.append("c" if run == 1 else f"c^{run}")
+            run = 0
+        if g.upper == g.lower:
+            parts.append(f"h{g.upper}")
+        else:
+            parts.append(f"h[{g.upper},{g.lower}]")
+    if run:
+        parts.append("c" if run == 1 else f"c^{run}")
+    return " ".join(parts)
 
 
 def random_nf(rng: random.Random, max_n: int = 10, max_circles: int = 3,

@@ -25,7 +25,7 @@ from kauffman import (
     rewrite,
     to_json_dict,
 )
-from kauffman.cli import EXIT_CLOSED_PIPE, main
+from kauffman.cli import EXIT_CLOSED_PIPE, TRACE_CHUNK, main
 from kauffman.draw import render_ascii
 from kauffman.selftest import random_term
 
@@ -253,6 +253,24 @@ def test_nf_trace_exit_3_keeps_the_lines_of_the_steps_before_the_failure(capsys,
     code, out, err = run(capsys, "nf", "-n", "11", "--trace", WORKED_SCRAMBLE)
     assert (code, out) == (3, "".join(WORKED_SCRAMBLE_TRACE.splitlines(keepends=True)[:9]))
     assert err.startswith("internal error: measure did not decrease for hcI at 6: ")
+
+
+@pytest.mark.parametrize("failing_step", [TRACE_CHUNK, TRACE_CHUNK + 1, 2 * TRACE_CHUNK + 7])
+def test_nf_trace_exit_3_keeps_every_chunk_before_the_failure(capsys, monkeypatch, failing_step):
+    """Around and past the write chunk's size, stdout holds exactly the lines
+    of the steps before the failing one."""
+    code, full, _ = run(capsys, "nf", "-n", "41", "--trace", trailing_circles(40))
+    assert code == 0 and full.count("\n") == 40 * 40 + 1
+    rhs, calls = rewrite._rhs, []
+
+    def breaks(x, y, tag):
+        calls.append(tag)
+        return [x, y] if len(calls) == failing_step else rhs(x, y, tag)
+
+    monkeypatch.setattr(rewrite, "_rhs", breaks)
+    code, out, err = run(capsys, "nf", "-n", "41", "--trace", trailing_circles(40))
+    assert (code, out) == (3, "".join(full.splitlines(keepends=True)[:failing_step - 1]))
+    assert err.startswith("internal error: measure did not decrease for hcI at ")
 
 
 @pytest.mark.parametrize("argv", [("enum", "-n", "9", "--pairings"),

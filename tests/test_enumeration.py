@@ -77,6 +77,19 @@ def test_parenword_parse_rejects_bad_words(word, n):
         parenword_to_pairing(word, n)
 
 
+@pytest.mark.parametrize("word, n, message", [
+    ("()", "1", "diagram size must be an integer, got '1'"),
+    ("()", True, "diagram size must be an integer, got True"),
+    ("", 0, "diagram size must be >= 1, got 0"),
+    (None, 1, "parenthetical word must be a string, got None"),
+    (["(", ")"], 1, "parenthetical word must be a string, got ['(', ')']"),
+])
+def test_parenword_parse_refuses_wrong_types(word, n, message):
+    with pytest.raises(DomainError) as err:
+        parenword_to_pairing(word, n)
+    assert str(err.value) == message
+
+
 def test_parenword_bijection_up_to_seven():
     for n in range(1, 8):
         words = balanced_words(n)

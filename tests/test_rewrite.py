@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from kauffman import (
     CIRCLE,
     Block,
+    Circle,
     ConsistencyError,
     JonesNF,
     Term,
@@ -206,6 +207,48 @@ def test_mutated_rule_is_refused(monkeypatch, rule, word):
     monkeypatch.setattr(rewrite, "_rhs", mutated_rhs)
     with pytest.raises(ConsistencyError, match=f"^measure did not decrease for {rule} at 0: "):
         normalize(parse(word, 4))
+
+
+RULE_TAGS = ("hcI", "hI", "hII", "hcII", "hIII.1", "hIII.2", "hIII.3")
+
+
+def candidate_right_hand_sides(rhs, x, y):
+    """Every rule's right-hand side of the pair, whether or not the rule is the
+    pair's, then mutants: the pair kept, swapped, shrunk, grown or emptied,
+    some as lists and some with a circle that is not the CIRCLE object."""
+    for tag in RULE_TAGS:
+        try:
+            yield rhs(x, y, tag)
+        except AttributeError:  # a block rule reads y's indices, and y is a circle
+            pass
+    yield from ([x, y], [y, x], (x, y), (y, x), (x,), (y,), (), [CIRCLE, x], (Circle(), x),
+                (x, CIRCLE), (CIRCLE, y), (y, x, CIRCLE), (CIRCLE, CIRCLE), (Block(1, 1), x))
+
+
+def test_step_check_agrees_with_measure_word_on_every_pair_and_mutant(monkeypatch):
+    """For each redex pair of K_n, n <= 6, and each candidate right-hand side,
+    `rewrite_steps` accepts the first step exactly when the check recounted
+    by `measure_word` does, and refuses it with that check's message."""
+    rule_rhs, candidate = rewrite._rhs, None
+    monkeypatch.setattr(rewrite, "_rhs", lambda x, y, tag: candidate)
+    checked = 0
+    for n in range(2, 7):
+        for x, y in product(all_blocks(n) + [CIRCLE], repeat=2):
+            tag = rewrite._classify(x, y)
+            if tag is None:
+                continue
+            for candidate in candidate_right_hand_sides(rule_rhs, x, y):
+                rhs = tuple(candidate)
+                before, after = measure_word((x, y)), measure_word(rhs)
+                if after.n1 < before.n1 or (rhs == (y, x) and after.n2 < before.n2):
+                    assert next(rewrite_steps(Term(n, (x, y)))) == (tag, 0, (x, y), rhs)
+                else:
+                    with pytest.raises(ConsistencyError) as err:
+                        next(rewrite_steps(Term(n, (x, y))))
+                    assert str(err.value) == (f"measure did not decrease for {tag} at 0: "
+                                              f"pair {tuple(before)} -> {tuple(after)}")
+                checked += 1
+    assert checked > 4000
 
 
 @settings(max_examples=150)

@@ -9,15 +9,17 @@ from hypothesis import strategies as st
 from kauffman import (
     CIRCLE,
     Block,
+    Circle,
     DomainError,
     ParseError,
     Term,
     format_term,
+    format_word,
     parse,
 )
 from kauffman.syntax import MAX_WORD_LENGTH
 
-from helpers import terms_st
+from helpers import format_word_reference, generators_st, terms_st
 
 GOLDEN = [
     ("1", 2),
@@ -193,3 +195,16 @@ def test_an_error_is_reported_at_the_malformed_factor(factors, data):
     else:
         position = int(re.match(r"offset (\d+): ", str(info.value)).group(1))
     assert position == len(before), text
+
+
+# Runs of one generator: circle runs of every length, and repeated blocks and diapsides.
+RUNS = st.integers(2, 12).flatmap(
+    lambda n: st.lists(st.tuples(generators_st(n) | st.builds(Circle), st.integers(1, 5)),
+                       max_size=10))
+
+
+@given(RUNS)
+def test_format_word_matches_the_reference_loop(runs):
+    word = tuple(g for g, k in runs for _ in range(k))
+    assert format_word(word) == format_word_reference(word)
+    assert format_word(word) == format_word_reference(word)  # again, from the kept block texts

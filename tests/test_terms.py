@@ -45,6 +45,9 @@ def test_make_block_rejects_out_of_range(n, b, a):
 def test_term_validates_blocks_against_size():
     with pytest.raises(DomainError):
         Term(3, (Block(3, 3),))
+    shared = Block(1, 1)  # checked once however often it occurs; a later block still is
+    with pytest.raises(DomainError, match="must be <= n-1 = 2, got 3"):
+        Term(3, (shared, CIRCLE, shared, shared, Block(3, 3), shared))
     with pytest.raises(DomainError):
         Term(1, ())
 
@@ -61,11 +64,14 @@ def test_term_validates_blocks_against_size():
     lambda: JonesNF("3"),
     lambda: Term(3, ("h1",)),
     lambda: Term(3, None),
+    lambda: JonesNF(3, 0, None),
+    lambda: JonesNF(3, 0, 5),
     lambda: parse(None, 3),
     lambda: parse(b"h1", 3),
 ], ids=["bool-and-float-index", "float-index", "str-index", "float-size",
         "bool-circles", "float-circles", "float-size-and-index", "float-nf-index",
-        "str-nf-size", "str-factor", "None-word", "None-text", "bytes-text"])
+        "str-nf-size", "str-factor", "None-word", "None-nf-blocks", "int-nf-blocks",
+        "None-text", "bytes-text"])
 def test_sizes_circles_and_indices_must_be_integers(build):
     with pytest.raises(DomainError):
         build()
