@@ -29,8 +29,8 @@ from .enumeration import (
     enumerate_pairings,
     enumerate_terms,
 )
-# normalize is not called here, but stays a name of this module: perfbench/tracing.py
-# wraps kauffman.cli.normalize
+# normalize and normal_form are not called here, but stay names of this module:
+# perfbench/tracing.py wraps kauffman.cli.normalize and kauffman.cli.normal_form
 from .rewrite import ConsistencyError, format_step, normal_form, normalize, rewrite_steps  # noqa: F401
 from .semantics import decide_equal, decide_nf, delta, diagram_to_nf, peel
 from .syntax import ParseError, format_term, parse
@@ -142,10 +142,10 @@ def _cmd_term_of(args) -> int:
         raise DomainError(f"invalid JSON on stdin: {e}") from None
     diagram = from_json_dict(data)
     if args.method == "slope":
-        nf = diagram_to_nf(diagram)
+        term = nf_to_term(diagram_to_nf(diagram))
     else:
-        nf = normal_form(peel(diagram))
-    print(format_term(nf_to_term(nf)))
+        term = peel(diagram)
+    print(format_term(term))
     return 0
 
 

@@ -37,8 +37,9 @@ The word problem is decided by the diagram route
 (`semantics.nf_by_diagram`) for most words; this module is the reference
 that follows the paper.  `rewrite_steps` serves `nf --trace`, and
 `normal_form` serves `semantics.decide_nf` on words of wide blocks, the
-cross-check of `decide_equal`, `term-of --method peel` and the oracles
-of the test suite and `selftest`.
+cross-check of `decide_equal` and the oracles of the test suite and
+`selftest`; `term-of --method peel` rewrites nothing, since `peel`
+returns the normal-form word itself.
 """
 
 from __future__ import annotations

@@ -53,8 +53,11 @@ Two extraction procedures invert delta on normal forms:
   `delta` must be the input diagram.  The cost is O(span/2 + n); the scan
   visited at most 2 (steps + n) codes on every family measured
   (staircases, side-by-side cups, random pairings), which is not a proof.
-  A diagram whose span/2, the length of the word, or whose size exceeds
-  MAX_WORD_LENGTH is refused before the first step.
+  A diagram whose span/2, the number of diapsides peeled, or whose size
+  exceeds MAX_WORD_LENGTH is refused before the first step.  The peeled
+  diapsides are the expansion of the Jones normal form, so `peel` groups
+  their descending runs into its blocks and returns the normal-form word
+  itself, without rewriting.
 """
 
 from __future__ import annotations
@@ -63,7 +66,7 @@ from __future__ import annotations
 from .diagrams import Diagram, compose, slope_points, slope_points_of, span  # noqa: F401
 from .rewrite import ConsistencyError, normal_form
 from .syntax import MAX_WORD_LENGTH
-from .terms import CIRCLE, Block, DomainError, JonesNF, Term
+from .terms import Block, DomainError, JonesNF, Term, _check_int, nf_to_term
 
 DIAGRAM_ROUTE_WIDTH = 16  # mean diapsides per block up to which `decide_nf` reads the diagram
 
@@ -226,16 +229,20 @@ def _first_crossed(mate: dict[int, int], n: int, j: int) -> tuple[int, int]:
 
 
 def peel(d: Diagram) -> Term:
-    """Express a diagram as a word of circles and diapsides.
+    """The Jones normal form word c^k h^[b1,a1] ... of a diagram, peeled off it.
 
-    The first peeled diapsis ends up as the rightmost factor, so the word
-    evaluates back to the diagram under delta; with the greatest-j cup
-    choice the result is the diapsis expansion of the Jones normal form.
-    A diagram whose span/2, the length of that word, or whose size
-    exceeds MAX_WORD_LENGTH, the bounds of `delta`, is refused before the
-    first step.
+    Each step peels a diapsis h^j, the first peeled becoming the rightmost
+    factor.  With the greatest-j cup choice the diapsides are the expansion
+    of the normal form, whose adjacent blocks h^[b1,a1] h^[b2,a2] have
+    b2 > b1 >= a1, so no descending run crosses a block boundary: the
+    maximal runs j, j-1, ..., i of the indices, in word order, are its
+    blocks h^[j,i], grouped in O(span/2).  `JonesNF` checks that their
+    indices increase strictly, and a failure is a ConsistencyError.  A
+    size below 2, or a size or span/2 over MAX_WORD_LENGTH, the bounds of
+    `delta`, is refused before the first step.
     """
     n = d.n
+    _check_int(n, "monoid size", 2)
     if n > MAX_WORD_LENGTH:
         raise DomainError(f"diagram size {n} exceeds {MAX_WORD_LENGTH}")
     size = span(d)
@@ -264,9 +271,17 @@ def peel(d: Diagram) -> Term:
             cups.append(j + 1)
         indices.append(j)
         size -= 2
-    diapsis = {j: Block(j, j) for j in set(indices)}
-    word = (CIRCLE,) * d.circles + tuple(diapsis[j] for j in reversed(indices))
-    peeled = Term(n, word)
+    runs: list[list[int]] = []  # [j, i] of each maximal run j, j-1, ..., i, in word order
+    for j in reversed(indices):
+        if runs and runs[-1][1] == j + 1:
+            runs[-1][1] = j
+        else:
+            runs.append([j, j])
+    try:
+        nf = JonesNF(n, d.circles, runs)
+    except DomainError as e:
+        raise ConsistencyError(f"peeled word is not a normal form: {e}") from None
+    peeled = nf_to_term(nf)
     if delta(peeled) != d:
         raise ConsistencyError("peeled word does not evaluate to the diagram")
     return peeled

@@ -286,11 +286,11 @@ def compose_fold(t: Term) -> Diagram:
 def peel_states(d: Diagram):
     """Yield (j, diagram left) after each `peel` step, first step first.
 
-    Peel detaches the word's diapsides from the right, so after k steps
-    the diagram left is `delta` of the peeled word without its last k
-    factors; each one is rebuilt that way, independently of `peel`.
+    Peel detaches the diapsides of the expanded word from the right, so
+    after k steps the diagram left is `delta` of that word without its
+    last k factors; each one is rebuilt that way, independently of `peel`.
     """
-    word = peel(d).word
+    word = expand(peel(d)).word
     for k in range(1, len(word) - d.circles + 1):
         yield word[-k].upper, delta(Term(d.n, word[:-k]))
 

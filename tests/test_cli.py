@@ -15,6 +15,7 @@ import kauffman
 from kauffman import (
     Diagram,
     delta,
+    enumerate_pairings,
     format_step,
     format_term,
     from_json_dict,
@@ -317,21 +318,55 @@ def test_diagram_size_bound_admits_exactly_the_bound(capsys, monkeypatch):
     assert "exceeds 10" in err
 
 
-def test_term_of_slope_and_peel_agree(capsys, monkeypatch):
-    blob = json.dumps(to_json_dict(delta(parse(WORKED_EXAMPLE, 11))))
+def _term_of_both(capsys, monkeypatch, blob):
+    """(code, stdout, stderr) of term-of --method slope and --method peel on one JSON."""
     results = []
     for method in ("slope", "peel"):
         monkeypatch.setattr("sys.stdin", io.StringIO(blob))
-        code, out, _ = run(capsys, "term-of", "--method", method)
-        assert code == 0
-        results.append(out.strip())
-    assert results[0] == results[1]
-    assert parse(results[0], 11) == parse(WORKED_EXAMPLE, 11)
+        results.append(run(capsys, "term-of", "--method", method))
+    return results
 
 
-@pytest.mark.parametrize("build, n", [(staircase, 256), (side_by_side, 4000)])
+def test_term_of_slope_and_peel_agree(capsys, monkeypatch):
+    blob = json.dumps(to_json_dict(delta(parse(WORKED_EXAMPLE, 11))))
+    slope, peeled = _term_of_both(capsys, monkeypatch, blob)
+    assert slope == peeled
+    assert slope[0] == 0
+    assert parse(slope[1], 11) == parse(WORKED_EXAMPLE, 11)
+    checked = 0
+    for n in range(1, 7):
+        for d in enumerate_pairings(n):
+            for circles in (0, 2):
+                blob = json.dumps(to_json_dict(Diagram(n, d.pairs, circles)))
+                slope, peeled = _term_of_both(capsys, monkeypatch, blob)
+                assert slope == peeled, blob
+                assert slope[0] == (2 if n == 1 else 0)  # K_1 is not a monoid the package builds
+                checked += 1
+    assert checked == 2 * 196
+
+
+def test_term_of_peel_does_no_rewriting(capsys, monkeypatch):
+    def no_rewriting(word, strategy):
+        raise AssertionError("term-of --method peel rewrote a word")
+
+    blobs = [json.dumps(to_json_dict(delta(parse(WORKED_EXAMPLE, 11)))),
+             json.dumps(to_json_dict(Diagram(8, nested(8).pairs, 3))),
+             json.dumps(to_json_dict(staircase(64)))]
+    slopes = []
+    for blob in blobs:
+        monkeypatch.setattr("sys.stdin", io.StringIO(blob))
+        slopes.append(run(capsys, "term-of", "--method", "slope"))
+    monkeypatch.setattr(rewrite, "_reduce", no_rewriting)
+    for blob, slope in zip(blobs, slopes):
+        monkeypatch.setattr("sys.stdin", io.StringIO(blob))
+        assert run(capsys, "term-of", "--method", "peel") == slope
+        assert slope[0] == 0
+
+
+@pytest.mark.parametrize("build, n", [(staircase, 256), (staircase, 1200), (side_by_side, 4000)])
 def test_term_of_peel_is_fast_on_large_spans(capsys, monkeypatch, build, n):
-    # the staircase took about 12 s when each peel step cost O(n)
+    # the n = 256 staircase took about 12 s when each peel step cost O(n), and
+    # the n = 1200 one about 20 s when the peeled word was rewritten afterwards
     blob = json.dumps(to_json_dict(build(n)))
     outputs = []
     for method in ("slope", "peel"):

@@ -266,11 +266,12 @@ def test_peel_strips_circles_first():
 def test_peel_agrees_with_slope_extraction():
     for n in range(2, 6):
         for d in enumerate_pairings(n):
-            assert normal_form(peel(d)) == diagram_to_nf(d)
+            assert normal_form(expand(peel(d))) == diagram_to_nf(d)
 
 
 def test_peel_lands_on_the_normal_form_directly():
-    # with the greatest-cup choice the peeled word is the expanded normal form
+    # with the greatest-cup choice the peeled diapsides are the expanded normal
+    # form, and peel groups them into its blocks
     checked = 0
     for n in range(1, 10):
         for d in enumerate_pairings(n):
@@ -278,7 +279,7 @@ def test_peel_lands_on_the_normal_form_directly():
                 with pytest.raises(DomainError):
                     peel(d)
             else:
-                assert peel(d) == expand(nf_to_term(diagram_to_nf(d)))
+                assert peel(d) == nf_to_term(diagram_to_nf(d))
             checked += 1
     assert checked == 6917
 
@@ -366,7 +367,9 @@ def _rewires_the_cup_below(mate, n, j):
     ("span", lambda d: span(d) + 2, "no span-1 cup"),
     ("delta", lambda t: delta(Term(t.n)), "does not evaluate"),
     ("_first_crossed", _rewires_the_cup_below, r"stacked cup \(2, 3\) was rewired"),
-], ids=["scan", "stack", "span", "delta", "stale-cup"])
+    ("JonesNF", lambda n, circles, blocks: JonesNF(n, circles, blocks[::-1]),
+     "peeled word is not a normal form: lower indices must increase strictly"),
+], ids=["scan", "stack", "span", "delta", "stale-cup", "nf-order"])
 def test_peel_checks_raise_consistency_error(monkeypatch, name, fault, message):
     # a fault in any part of peel is caught by one of its checks
     d = nested(6)
