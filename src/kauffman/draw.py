@@ -5,17 +5,18 @@ a(n) = max(5, (n-1)(n-2)/2), which leaves room for the steepest
 transversal.  Circles are stacked along the left margin.  SVG output uses
 only line, path (arc commands), circle and text elements, so drawings can
 be checked by counting elements: one line per transversal, one arc per
-cup or cap, one small circle per circle component.  ASCII output is a
-coarse raster over the characters | / \\ _ o.  A raster of more than
-MAX_ASCII_CELLS cells, or an SVG canvas whose size is not a finite
-float, is refused with DomainError.
+cup or cap, one small circle per circle component.  The SVG is written
+as text in one pass, one string per element; no value needs escaping,
+since each is a number, a label's digits or an arc's path commands.
+ASCII output is a coarse raster over the characters | / \\ _ o.  A
+raster of more than MAX_ASCII_CELLS cells, or an SVG canvas whose size
+is not a finite float, is refused with DomainError.
 """
 
 from __future__ import annotations
 
 import math
 import sys
-import xml.etree.ElementTree as ET
 
 from .diagrams import Diagram
 from .terms import DomainError
@@ -54,63 +55,50 @@ def _fmt(x: float) -> str:
 
 
 def render_svg(d: Diagram, unit: float = UNITS["svg"], show_labels: bool = False) -> str:
+    """The SVG text: one f-string per element, joined once.
+
+    Nothing is escaped, and nothing needs to be: every attribute value and
+    text node is a `_fmt` number, a label's digits or the M/A commands of
+    a path.  Each group holds at least one element, since n >= 1.
+    """
     unit = _unit(unit)
     n, height = d.n, canvas_height(d.n)
     if not math.isfinite(max(n + 1, height) * unit):
         raise DomainError(f"svg canvas of {n + 1} x {height} units of {unit} is not finite")
 
-    def x(pos: float) -> float:
-        return pos * unit
+    def x(pos: float) -> str:
+        return _fmt(pos * unit)
 
     def y(v: float) -> float:
         return (height - v) * unit  # diagram y grows upward, svg y downward
 
-    root = ET.Element("svg", {
-        "xmlns": "http://www.w3.org/2000/svg",
-        "width": _fmt((n + 1) * unit),
-        "height": _fmt(height * unit),
-        "viewBox": f"0 0 {_fmt((n + 1) * unit)} {_fmt(height * unit)}",
-    })
-    group = ET.SubElement(root, "g", {
-        "fill": "none",
-        "stroke": "black",
-        "stroke-width": _fmt(max(1.0, unit / 16)),
-    })
-
+    w, h, top, bottom = x(n + 1), _fmt(height * unit), _fmt(y(height)), _fmt(y(0))
+    out = [f'<svg xmlns="http://www.w3.org/2000/svg" width="{w}" height="{h}"'
+           f' viewBox="0 0 {w} {h}">'
+           f'<g fill="none" stroke="black" stroke-width="{_fmt(max(1.0, unit / 16))}">']
     cups, caps, trans = _split(d)
-    for top, bottom in trans:
-        ET.SubElement(group, "line", {
-            "x1": _fmt(x(top)), "y1": _fmt(y(height)),
-            "x2": _fmt(x(bottom)), "y2": _fmt(y(0)),
-        })
+    for t, b in trans:
+        out.append(f'<line x1="{x(t)}" y1="{top}" x2="{x(b)}" y2="{bottom}" />')
     # sweep flag 0 bows a left-to-right arc toward +y (down into the canvas), 1 up
-    for arcs, edge, sweep in ((cups, _fmt(y(height)), 0), (caps, _fmt(y(0)), 1)):
+    for arcs, edge, sweep in ((cups, top, 0), (caps, bottom, 1)):
         for left, right in arcs:
             r = _fmt((right - left) / 2 * unit)
-            ET.SubElement(group, "path", {
-                "d": f"M {_fmt(x(left))} {edge} A {r} {r} 0 0 {sweep} {_fmt(x(right))} {edge}",
-            })
+            out.append(f'<path d="M {x(left)} {edge} A {r} {r} 0 0 {sweep} {x(right)} {edge}" />')
     if d.circles:
         spacing = min(1.0, (height - 1) / d.circles)
-        radius = min(0.25, spacing / 3) * unit
+        cx, r = x(0.5), _fmt(min(0.25, spacing / 3) * unit)
         for k in range(d.circles):
-            ET.SubElement(group, "circle", {
-                "cx": _fmt(x(0.5)),
-                "cy": _fmt(y(0.5 + k * spacing)),
-                "r": _fmt(radius),
-            })
+            out.append(f'<circle cx="{cx}" cy="{_fmt(y(0.5 + k * spacing))}" r="{r}" />')
+    out.append("</g>")
     if show_labels:
-        labels = ET.SubElement(root, "g", {
-            "font-size": _fmt(unit / 2), "text-anchor": "middle",
-        })
+        out.append(f'<g font-size="{_fmt(unit / 2)}" text-anchor="middle">')
+        above, below = _fmt(y(height) + unit / 2), _fmt(y(0) - unit / 5)
         for i in range(1, n + 1):
-            for v in (height, 0):
-                t = ET.SubElement(labels, "text", {
-                    "x": _fmt(x(i)),
-                    "y": _fmt(y(v) + (unit / 2 if v == height else -unit / 5)),
-                })
-                t.text = str(i)
-    return ET.tostring(root, encoding="unicode")
+            out.append(f'<text x="{x(i)}" y="{above}">{i}</text>'
+                       f'<text x="{x(i)}" y="{below}">{i}</text>')
+        out.append("</g>")
+    out.append("</svg>")
+    return "".join(out)
 
 
 def render_ascii(d: Diagram, unit: float = UNITS["ascii"], show_labels: bool = False) -> str:

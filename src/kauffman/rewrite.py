@@ -50,7 +50,7 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 from .syntax import format_word
-from .terms import CIRCLE, Block, Circle, Generator, JonesNF, Term, measure_word
+from .terms import CIRCLE, Block, Circle, DomainError, Generator, JonesNF, Term, measure_word
 
 STRATEGIES = ("leftmost", "rightmost")
 
@@ -144,7 +144,7 @@ def _reduce(word: list[Generator], strategy: str) -> Iterator[tuple[int, str]]:
     amortized O(1) per step.
     """
     if strategy not in STRATEGIES:
-        raise ValueError(f"unknown strategy {strategy!r}")
+        raise DomainError(f"unknown strategy {strategy!r}, expected one of {STRATEGIES}")
     step = 1 if strategy == "leftmost" else -1
     last = len(word) - 2  # position of the last pair, refreshed after each firing
     p = 0 if step == 1 else last

@@ -3,12 +3,16 @@
 The naive stepper (`find_redex`, `apply_rule`), `expand`, `identity`,
 the hand-built `diapsis_diagram` and the generator-by-generator
 `format_word_reference` are used by the tests only, so they live here
-rather than in the package.
+rather than in the package.  So is `render_svg_reference`, the SVG
+writer that builds an ElementTree and serializes it: the byte-for-byte
+reference for `render`'s text writer.
 """
 
 from __future__ import annotations
 
+import math
 import random
+import xml.etree.ElementTree as ET
 from collections import defaultdict
 from dataclasses import dataclass
 from itertools import combinations
@@ -31,6 +35,7 @@ from kauffman import (
     peel,
 )
 from kauffman.diagrams import is_planar_pairing
+from kauffman.draw import UNITS, _fmt, _split, _unit, canvas_height
 from kauffman.rewrite import _classify, _rhs
 from kauffman.selftest import random_term  # noqa: F401  (shared with selftest)
 
@@ -104,6 +109,66 @@ def format_word_reference(word: tuple[Generator, ...]) -> str:
     if run:
         parts.append("c" if run == 1 else f"c^{run}")
     return " ".join(parts)
+
+
+def render_svg_reference(d: Diagram, unit: float = UNITS["svg"],
+                         show_labels: bool = False) -> str:
+    """The SVG of `d` built as an ElementTree, then serialized."""
+    unit = _unit(unit)
+    n, height = d.n, canvas_height(d.n)
+    if not math.isfinite(max(n + 1, height) * unit):
+        raise DomainError(f"svg canvas of {n + 1} x {height} units of {unit} is not finite")
+
+    def x(pos: float) -> float:
+        return pos * unit
+
+    def y(v: float) -> float:
+        return (height - v) * unit
+
+    root = ET.Element("svg", {
+        "xmlns": "http://www.w3.org/2000/svg",
+        "width": _fmt((n + 1) * unit),
+        "height": _fmt(height * unit),
+        "viewBox": f"0 0 {_fmt((n + 1) * unit)} {_fmt(height * unit)}",
+    })
+    group = ET.SubElement(root, "g", {
+        "fill": "none",
+        "stroke": "black",
+        "stroke-width": _fmt(max(1.0, unit / 16)),
+    })
+    cups, caps, trans = _split(d)
+    for top, bottom in trans:
+        ET.SubElement(group, "line", {
+            "x1": _fmt(x(top)), "y1": _fmt(y(height)),
+            "x2": _fmt(x(bottom)), "y2": _fmt(y(0)),
+        })
+    for arcs, edge, sweep in ((cups, _fmt(y(height)), 0), (caps, _fmt(y(0)), 1)):
+        for left, right in arcs:
+            r = _fmt((right - left) / 2 * unit)
+            ET.SubElement(group, "path", {
+                "d": f"M {_fmt(x(left))} {edge} A {r} {r} 0 0 {sweep} {_fmt(x(right))} {edge}",
+            })
+    if d.circles:
+        spacing = min(1.0, (height - 1) / d.circles)
+        radius = min(0.25, spacing / 3) * unit
+        for k in range(d.circles):
+            ET.SubElement(group, "circle", {
+                "cx": _fmt(x(0.5)),
+                "cy": _fmt(y(0.5 + k * spacing)),
+                "r": _fmt(radius),
+            })
+    if show_labels:
+        labels = ET.SubElement(root, "g", {
+            "font-size": _fmt(unit / 2), "text-anchor": "middle",
+        })
+        for i in range(1, n + 1):
+            for v in (height, 0):
+                t = ET.SubElement(labels, "text", {
+                    "x": _fmt(x(i)),
+                    "y": _fmt(y(v) + (unit / 2 if v == height else -unit / 5)),
+                })
+                t.text = str(i)
+    return ET.tostring(root, encoding="unicode")
 
 
 def random_nf(rng: random.Random, max_n: int = 10, max_circles: int = 3,

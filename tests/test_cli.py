@@ -6,6 +6,8 @@ import subprocess
 import sys
 import time
 import tracemalloc
+import xml.etree.ElementTree as ET
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -568,6 +570,19 @@ def test_render_svg(capsys):
     code, out, _ = run(capsys, "render", "-n", "3", "h1", "--format", "svg")
     assert code == 0
     assert out.startswith("<svg")
+
+
+@pytest.mark.parametrize("argv", [("render", "-n", "30000", "--labels", "h1"),
+                                  ("render", "-n", "3", "c^100000")],
+                         ids=["wide", "many-circles"])
+def test_render_svg_of_a_large_drawing_stays_in_bounded_memory(capsys, argv):
+    # about 4 MB of svg each; 30 MB holds the diagram and the text, not an element tree
+    code, out, peak = traced_run(capsys, *argv)
+    assert code == 0
+    assert peak < 30_000_000, peak
+    if argv[2] == "30000":
+        tags = Counter(node.tag.rsplit("}", 1)[-1] for node in ET.fromstring(out).iter())
+        assert [tags[t] for t in ("line", "path", "circle", "text")] == [29998, 2, 0, 60000]
 
 
 def test_render_ascii(capsys):

@@ -1,6 +1,8 @@
 import xml.etree.ElementTree as ET
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kauffman import (
     Diagram,
@@ -12,7 +14,7 @@ from kauffman import (
 )
 from kauffman.draw import canvas_height, render_ascii
 
-from helpers import diapsis_diagram, identity
+from helpers import diapsis_diagram, identity, render_svg_reference, terms_st
 
 ALLOWED_ASCII = set("|/\\_o \n")
 
@@ -86,6 +88,18 @@ o   |   |   |   |   |   |   |   |   |   |
 def test_golden_drawings():
     assert render(GOLDEN_DIAGRAM, "svg", show_labels=True) == GOLDEN_SVG
     assert "\n" + render(GOLDEN_DIAGRAM, "ascii", show_labels=True) + "\n" == GOLDEN_ASCII
+
+
+UNITS_ST = (st.integers(1, 10**9)
+            | st.floats(0.001, 100.0)
+            | st.floats(1e5, 1e300))
+
+
+@settings(max_examples=300, deadline=None)
+@given(terms_st(max_n=40, max_len=60), UNITS_ST, st.booleans())
+def test_svg_is_byte_identical_to_the_element_tree_writer(t, unit, labels):
+    d = delta(t)
+    assert render(d, "svg", unit, labels) == render_svg_reference(d, unit, labels)
 
 
 def test_identity_svg_has_only_lines():

@@ -10,6 +10,7 @@ from kauffman import (
     Block,
     Circle,
     ConsistencyError,
+    DomainError,
     JonesNF,
     Term,
     delta,
@@ -282,8 +283,12 @@ def test_strategies_reach_the_same_normal_form(t):
 
 
 def test_unknown_strategy_rejected():
-    with pytest.raises(ValueError):
+    with pytest.raises(DomainError):
         normal_form(Term(2), "innermost")
+    with pytest.raises(DomainError):
+        normalize(Term(3, (Block(1, 1),)), None)
+    with pytest.raises(DomainError):
+        next(rewrite_steps(Term(2), "x"))
 
 
 def test_redex_free_iff_jones_shape_exhaustive():
