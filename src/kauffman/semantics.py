@@ -108,8 +108,9 @@ def _rewire(t: Term) -> tuple[dict[int, int], int]:
     """The code -> partner involution of the word's diagram and its circle count.
 
     One pass over the word, first factor at the bottom.  A circle adds one
-    to the count, and a diapsis h^i stacks H^i on top (`_stack`).  A block
-    h^[b,a] stacks H^b, H^(b-1), ..., H^a in that order.  The map holds
+    to the count, and a diapsis h^i stacks H^i on top by one `_stack` call,
+    with no range built.  A wider block h^[b,a] stacks H^b, H^(b-1), ...,
+    H^a in that order.  The map holds
     only the codes the word touches, and its keys are closed under the
     partner map; every absent code c is on the vertical thread (c, -c).
     So the pass costs O(1) per diapsis of the expanded word, sum(b - a + 1)
@@ -124,9 +125,11 @@ def _rewire(t: Term) -> tuple[dict[int, int], int]:
     for g in t.word:
         if not isinstance(g, Block):
             circles += 1
-            continue
-        for i in range(g.upper, g.lower - 1, -1):
-            circles += _stack(mate, i)
+        elif g.upper == g.lower:
+            circles += _stack(mate, g.upper)
+        else:
+            for i in range(g.upper, g.lower - 1, -1):
+                circles += _stack(mate, i)
     return mate, circles
 
 

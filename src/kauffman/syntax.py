@@ -14,10 +14,21 @@ A word longer than MAX_WORD_LENGTH factors, circle powers counted in
 full, is refused with a ParseError before it is built, so a short text
 such as "c^1000000000" allocates nothing of its power's size.
 
-Each factor, with the separators before it, is one regex match.  Each
-distinct block factor is checked once per call: its text keys a dict of
-the blocks already built, so a repeated factor costs one group lookup
-and one dict lookup.
+`parse` tokenizes the text with `str.split()`, in slices of about
+_SLICE characters cut at whitespace, so a long text is never held as
+one list of tokens.  Each distinct token that is "c", or that _TOKEN
+reads as one diapsis "hi" or block "h[b,a]" valid in K_n (a "*" may
+lead it), is built and checked once per call and kept in a dict, and
+the slice's tokens are mapped through that dict: one C-level pass per
+factor, Python work per distinct factor.  A slice with any other token
+("*" alone or between factors, "c^k", "1", a block with spaces inside
+its brackets, a malformed or out-of-range factor) or one that takes the
+word past MAX_WORD_LENGTH goes, from its start to the end of the text,
+to `_scan`: the regex loop, one match per factor with the separators
+before it.  `_scan` is the reference and the only place an error is
+raised, so offsets and messages are its own.  The fast path rests on
+`str.split()` separating on exactly the whitespace that `_scan` skips
+between factors; the test suite checks that on every code point.
 """
 
 from __future__ import annotations
@@ -51,6 +62,8 @@ _TOKEN = re.compile(
     re.VERBOSE,
 )
 _SEPARATORS = re.compile(r"[\s*]*")
+_SPACE = re.compile(r"\s")
+_SLICE = 1 << 16  # characters per str.split(); each cut moves on to the next whitespace
 _CIRCLE_RUN = re.compile(r"c(?: c)+")
 
 
@@ -64,16 +77,69 @@ def _nat(digits: str, width: int) -> int | None:
     return int(digits) if len(digits) <= width else None
 
 
+def _block(m: re.Match, n: int, width: int) -> Block:
+    """The block of K_n that a block or diapsis match of _TOKEN names.
+
+    DomainError, without an offset, if the indices are out of range.
+    """
+    b, a = m.group("b", "a") if m.lastgroup == "block" else (m["i"],) * 2
+    upper, lower = _nat(b, width), _nat(a, width)
+    if upper is None or lower is None:
+        raise DomainError(f"block index exceeds n-1 = {n - 1}")
+    return make_block(n, upper, lower)
+
+
+def _fast(token: str, n: int, width: int) -> Generator | None:
+    """The generator of a token that is "c" or one block or diapsis of K_n, else None."""
+    if token == "c":
+        return CIRCLE
+    m = _TOKEN.fullmatch(token)  # a "*" may lead the factor; a token holds no whitespace
+    if m is None or m.lastgroup not in ("block", "diapsis"):
+        return None
+    try:
+        return _block(m, n, width)
+    except DomainError:
+        return None
+
+
 def parse(text: str, n: int) -> Term:
     """Parse a term of K_n; raises ParseError or DomainError."""
     _check_int(n, "monoid size", 2)
     if not isinstance(text, str):
         raise DomainError(f"term text must be a string, got {text!r}")
+    width = len(str(n - 1))
+    memo: dict[str, Generator] = {}  # token -> its generator, for the tokens `_fast` built
+    word: list[Generator] = []
+    pos, end = 0, len(text)
+    while pos < end:
+        cut = end
+        if end - pos > _SLICE:
+            space = _SPACE.search(text, pos + _SLICE)
+            if space is not None:
+                cut = space.start()
+        tokens = text[pos:cut].split()
+        for token in set(tokens).difference(memo):  # each distinct token once per call
+            g = _fast(token, n, width)
+            if g is None:
+                return _scan(text, n, pos, word)
+            memo[token] = g
+        if len(word) + len(tokens) > MAX_WORD_LENGTH:
+            return _scan(text, n, pos, word)
+        word.extend(map(memo.__getitem__, tokens))
+        pos = cut
+    return Term(n, tuple(word))
+
+
+def _scan(text: str, n: int, pos: int = 0, word: list[Generator] | None = None) -> Term:
+    """Parse text[pos:] onto `word` by the regex loop: one match per factor.
+
+    The reference for `parse`, and where every error is raised.  `pos`
+    must lie between factors, as whitespace does.
+    """
     index_width, power_width = len(str(n - 1)), len(str(MAX_WORD_LENGTH))
     blocks: dict[str, Block] = {}  # factor text -> checked block
-    word: list[Generator] = []
+    word = [] if word is None else word
     match, append, end = _TOKEN.match, word.append, len(text)
-    pos = 0
     while pos < end:
         m = match(text, pos)  # separators, then one factor or the end
         if m is None:
@@ -86,15 +152,10 @@ def parse(text: str, n: int) -> Term:
             factor = m[kind]
             g = blocks.get(factor)
             if g is None:
-                start = m.start(kind)
-                digits = m.group("b", "a") if kind == "block" else (m["i"],) * 2
-                b, a = _nat(digits[0], index_width), _nat(digits[1], index_width)
-                if b is None or a is None:
-                    raise DomainError(f"offset {start}: block index exceeds n-1 = {n - 1}")
                 try:
-                    g = blocks[factor] = make_block(n, b, a)
+                    g = blocks[factor] = _block(m, n, index_width)
                 except DomainError as e:
-                    raise DomainError(f"offset {start}: {e}") from None
+                    raise DomainError(f"offset {m.start(kind)}: {e}") from None
             append(g)
         elif kind == "circle":
             power = m["power"]

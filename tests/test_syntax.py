@@ -1,6 +1,8 @@
+import random
 import re
 import sys
 import tracemalloc
+from unittest import mock
 
 import pytest
 from hypothesis import given
@@ -17,7 +19,8 @@ from kauffman import (
     format_word,
     parse,
 )
-from kauffman.syntax import MAX_WORD_LENGTH
+from kauffman import syntax
+from kauffman.syntax import MAX_WORD_LENGTH, _scan
 
 from helpers import format_word_reference, generators_st, terms_st
 
@@ -208,3 +211,90 @@ def test_format_word_matches_the_reference_loop(runs):
     word = tuple(g for g, k in runs for _ in range(k))
     assert format_word(word) == format_word_reference(word)
     assert format_word(word) == format_word_reference(word)  # again, from the kept block texts
+
+
+def outcome(read, text, n):
+    """The Term that `read` returns, or the type, message and position of what it raises."""
+    try:
+        return read(text, n)
+    except (ParseError, DomainError) as e:
+        return type(e), str(e), getattr(e, "position", None)
+
+
+# Atoms of texts for parse against _scan: tokens the fast path builds, texts only the
+# regex loop reads, and malformed or out-of-range factors of K_3.
+FAST_ATOMS = ("c", "h1", "h2", "h[2,1]", "h[2,2]", "h01", "h[02,001]")
+SCANNED_ATOMS = ("1", "c^0", "c^3", "c^007", "h[ 2 , 1 ]", "h[2 ,1]", "h[\u30002,1]", "h1*h2",
+                 "h1h2", "*", "**")
+BAD_ATOMS = ("x", "h", "h0", "h3", "h9", "h[1,2]", "h[9,1]", "h[1", "h[2 1]", "c^", "c2",
+             "h" + "9" * 30, "h[" + "9" * 30 + ",1]", "c^" + "9" * 30, "h\uff11", "h\u0663",
+             "1\u0663", "\u00e9", "\x00")
+ATOMS = FAST_ATOMS + SCANNED_ATOMS + BAD_ATOMS
+# ASCII, no-break, em, ideographic and line-separator spaces, an information separator
+# (whitespace to str.split()), a star, and nothing at all
+GAPS = (" ", "  ", "\t", "\n", "\u00a0", "\u2003", "\u3000", "\u2028", "\x1c", "*", " * ", "")
+
+
+@given(st.lists(st.tuples(st.sampled_from(GAPS), st.sampled_from(ATOMS)), max_size=12),
+       st.sampled_from(GAPS), st.sampled_from([2, 3, 11]), st.sampled_from([1, 2, 5, 1 << 16]),
+       st.sampled_from([4, MAX_WORD_LENGTH]))
+def test_parse_equals_the_regex_loop(pieces, tail, n, slice_size, max_length):
+    """Same Term, or same exception type, message and position, at any slice size and bound."""
+    text = "".join(gap + atom for gap, atom in pieces) + tail
+    with mock.patch.object(syntax, "_SLICE", slice_size), \
+            mock.patch.object(syntax, "MAX_WORD_LENGTH", max_length):
+        assert outcome(parse, text, n) == outcome(_scan, text, n), text
+
+
+def test_parse_equals_the_regex_loop_with_a_bad_atom_at_each_slice_cut():
+    """Texts over 200K characters, a scanned or malformed atom across, at and after a cut."""
+    n = 13
+    filler = "h[12,1] h[11,3] "  # fast tokens only
+    base = filler * (210_000 // len(filler))
+    cuts, pos = [], 0
+    while len(base) - pos > syntax._SLICE:
+        pos = syntax._SPACE.search(base, pos + syntax._SLICE).start()
+        cuts.append(pos)
+    assert len(cuts) == 3
+    for cut in (cuts[0], cuts[-1]):  # the word empty, then long, where the regex loop takes over
+        for atom in ("x", "h0", "c^2", "h[ 12 , 1 ]", "\u3000", "*"):
+            for shift in (-len(atom) // 2, 0, 1):
+                at = cut + shift
+                text = base[:at] + atom + base[at:]
+                assert outcome(parse, text, n) == outcome(_scan, text, n), (cut, atom, shift)
+
+
+def test_str_split_separates_on_exactly_the_whitespace_the_regex_loop_skips():
+    """The fast path's premise, on every code point: split() and _scan agree on what a gap is."""
+    for code in range(sys.maxunicode + 1):
+        ch = chr(code)
+        splits = len(("a" + ch + "a").split()) == 2
+        skipped = syntax._SEPARATORS.fullmatch(ch) is not None and ch != "*"
+        assert splits == skipped == (syntax._SPACE.fullmatch(ch) is not None), hex(code)
+
+
+# `_scan`, one regex match per factor, peaks at 15.7-15.8 MiB traced on 10**6 such
+# factors; the sliced split may take 1.2 times that, one split of the whole text takes 4.7
+PARSE_PEAK_BOUND = 1.2 * 15.8 * 2**20
+
+
+def test_parse_of_a_maximal_word_is_bounded_in_memory_and_refuses_one_factor_more():
+    rng = random.Random(1)
+    factors = [f"h{rng.randint(1, 31)}" for _ in range(1000)]
+    for k in range(0, 1000, 5):  # every fifth factor a wide block
+        b = rng.randint(2, 31)
+        factors[k] = f"h[{b},{rng.randint(1, b - 1)}]"
+    text = " ".join(factors * (MAX_WORD_LENGTH // 1000))
+    del factors
+    tracemalloc.start()
+    try:
+        assert len(parse(text, 32).word) == MAX_WORD_LENGTH
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < PARSE_PEAK_BOUND, peak
+    text += " h1"
+    expected = outcome(_scan, text, 32)
+    assert expected == (ParseError, f"offset {len(text) - 2}: word longer than "
+                        f"{MAX_WORD_LENGTH} factors", len(text) - 2)
+    assert outcome(parse, text, 32) == expected
