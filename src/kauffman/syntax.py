@@ -17,18 +17,21 @@ such as "c^1000000000" allocates nothing of its power's size.
 `parse` tokenizes the text with `str.split()`, in slices of about
 _SLICE characters cut at whitespace, so a long text is never held as
 one list of tokens.  Each distinct token that is "c", or that _TOKEN
-reads as one diapsis "hi" or block "h[b,a]" valid in K_n (a "*" may
-lead it), is built and checked once per call and kept in a dict, and
-the slice's tokens are mapped through that dict: one C-level pass per
-factor, Python work per distinct factor.  A slice with any other token
-("*" alone or between factors, "c^k", "1", a block with spaces inside
-its brackets, a malformed or out-of-range factor) or one that takes the
-word past MAX_WORD_LENGTH goes, from its start to the end of the text,
-to `_scan`: the regex loop, one match per factor with the separators
-before it.  `_scan` is the reference and the only place an error is
-raised, so offsets and messages are its own.  The fast path rests on
-`str.split()` separating on exactly the whitespace that `_scan` skips
-between factors; the test suite checks that on every code point.
+reads as one diapsis "hi" or block "h[b,a]" valid in K_n, is built and
+checked once per call and kept in a dict, and the slice's tokens are
+mapped through that dict: one C-level pass per factor, Python work per
+distinct factor.  A slice with any other token ("1", a block with
+spaces inside its brackets, a malformed or out-of-range factor) or one
+that takes the word past MAX_WORD_LENGTH goes, from its start to the
+end of the text, to `_scan`: the regex loop, one match per factor with
+the separators before it, which takes over the dict so that no block
+is built twice.  A slice that holds a "*" or a "^" (a circle power, as
+in the canonical text of a word) goes there before it is split, so
+such texts cost the fast path a substring search and nothing more.
+`_scan` is the reference and the only place an error is raised, so
+offsets and messages are its own.  The fast path rests on `str.split()`
+separating on exactly the whitespace that `_scan` skips between
+factors; the test suite checks that on every code point.
 """
 
 from __future__ import annotations
@@ -93,7 +96,7 @@ def _fast(token: str, n: int, width: int) -> Generator | None:
     """The generator of a token that is "c" or one block or diapsis of K_n, else None."""
     if token == "c":
         return CIRCLE
-    m = _TOKEN.fullmatch(token)  # a "*" may lead the factor; a token holds no whitespace
+    m = _TOKEN.fullmatch(token)  # a token holds no whitespace and no "*"
     if m is None or m.lastgroup not in ("block", "diapsis"):
         return None
     try:
@@ -117,27 +120,33 @@ def parse(text: str, n: int) -> Term:
             space = _SPACE.search(text, pos + _SLICE)
             if space is not None:
                 cut = space.start()
-        tokens = text[pos:cut].split()
+        chunk = text[pos:cut]
+        if "*" in chunk or "^" in chunk:  # refused before any split or build
+            return _scan(text, n, pos, word, memo)
+        tokens = chunk.split()
         for token in set(tokens).difference(memo):  # each distinct token once per call
             g = _fast(token, n, width)
             if g is None:
-                return _scan(text, n, pos, word)
+                return _scan(text, n, pos, word, memo)
             memo[token] = g
         if len(word) + len(tokens) > MAX_WORD_LENGTH:
-            return _scan(text, n, pos, word)
+            return _scan(text, n, pos, word, memo)
         word.extend(map(memo.__getitem__, tokens))
         pos = cut
     return Term(n, tuple(word))
 
 
-def _scan(text: str, n: int, pos: int = 0, word: list[Generator] | None = None) -> Term:
+def _scan(text: str, n: int, pos: int = 0, word: list[Generator] | None = None,
+          blocks: dict[str, Generator] | None = None) -> Term:
     """Parse text[pos:] onto `word` by the regex loop: one match per factor.
 
     The reference for `parse`, and where every error is raised.  `pos`
-    must lie between factors, as whitespace does.
+    must lie between factors, as whitespace does.  `blocks` maps factor
+    texts to the blocks already built for them; `parse` hands over its
+    token dict, whose keys other than "c" are such factor texts.
     """
     index_width, power_width = len(str(n - 1)), len(str(MAX_WORD_LENGTH))
-    blocks: dict[str, Block] = {}  # factor text -> checked block
+    blocks = {} if blocks is None else blocks  # factor text -> checked block
     word = [] if word is None else word
     match, append, end = _TOKEN.match, word.append, len(text)
     while pos < end:

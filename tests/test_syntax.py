@@ -264,6 +264,26 @@ def test_parse_equals_the_regex_loop_with_a_bad_atom_at_each_slice_cut():
                 assert outcome(parse, text, n) == outcome(_scan, text, n), (cut, atom, shift)
 
 
+@pytest.mark.parametrize("text", ["h1 h2 h[2,1] c^2 h1 h2 h[2,1] h1", "h[2,1] h1 * h2 h1 h[2,1]",
+                                  "c h2 h1 1 h2 h[2,1] h1", "h1 h[2,2] h[ 2 , 1 ] h[2,2] h1"])
+def test_parse_builds_each_factor_text_once_when_the_regex_loop_takes_over(text):
+    """The regex loop reuses the blocks that the fast path built before it refused a token."""
+    counts = []
+    for read in (parse, _scan):
+        # one token per slice, so every token before the refused one is built first
+        with mock.patch.object(syntax, "_SLICE", 1), \
+                mock.patch.object(syntax, "make_block", wraps=syntax.make_block) as build:
+            counts.append((read(text, 3), build.call_count))
+    assert counts[0] == counts[1]
+
+
+@pytest.mark.parametrize("text", ["c^2 h1 h2", "h1 h2 * h[2,1]", "h1*h2", "h1 c^0 h2 1"])
+def test_a_star_or_a_circle_power_sends_the_text_to_the_regex_loop_unsplit(text):
+    """Canonical texts ("c^k ...") and starred ones cost the fast path no token check."""
+    with mock.patch.object(syntax, "_fast", side_effect=AssertionError(text)):
+        assert parse(text, 3) == _scan(text, 3)
+
+
 def test_str_split_separates_on_exactly_the_whitespace_the_regex_loop_skips():
     """The fast path's premise, on every code point: split() and _scan agree on what a gap is."""
     for code in range(sys.maxunicode + 1):
