@@ -10,12 +10,14 @@ wrong; it is pinned by the compose(H^1, H^2) example in the test suite.
 The monoid given by generators and relations is isomorphic to the
 diagram monoid, so a word's Jones normal form can be read off its
 diagram: `nf_by_diagram` does so in one rewiring pass over the expanded
-word, however many rewrite steps the word would need.  The rewriting of
+word, however many rewrite steps the word would need.  The pass keeps
+the partner map in a flat list when n is at most the number of factors,
+and in a sparse map of the touched codes otherwise.  The rewriting of
 `rewrite`, which follows the paper, is the reference and rewrites blocks
 whole.  `decide_nf`, and so the word problem, takes the diagram route
-unless the word's blocks are too wide for it; `decide_equal(...,
-cross_check=True)` runs both routes and raises ConsistencyError if they
-disagree.
+unless the word's blocks are too wide for it, which the same pass finds
+out; `decide_equal(..., cross_check=True)` runs both routes and raises
+ConsistencyError if they disagree.
 
 Two extraction procedures invert delta on normal forms:
 
@@ -62,6 +64,8 @@ Two extraction procedures invert delta on normal forms:
 
 from __future__ import annotations
 
+from itertools import chain
+
 # compose is unused here and delta_block only by the tests, but perfbench/tracing.py patches both.
 from .diagrams import Diagram, compose, slope_points, slope_points_of, span  # noqa: F401
 from .rewrite import ConsistencyError, normal_form
@@ -104,82 +108,110 @@ def _stack(mate, i: int) -> int:
     return 0
 
 
-def _rewire(t: Term) -> tuple[dict[int, int], int]:
-    """The code -> partner involution of the word's diagram and its circle count.
+def _rewire(t: Term, limit: int) -> tuple[list[int] | _Mates, int, int, int]:
+    """The word's code -> partner map, circle count, expanded length and block count.
 
     One pass over the word, first factor at the bottom.  A circle adds one
-    to the count, and a diapsis h^i stacks H^i on top by one `_stack` call,
-    with no range built.  A wider block h^[b,a] stacks H^b, H^(b-1), ...,
-    H^a in that order.  The map holds
-    only the codes the word touches, and its keys are closed under the
-    partner map; every absent code c is on the vertical thread (c, -c).
-    So the pass costs O(1) per diapsis of the expanded word, sum(b - a + 1)
-    over its blocks, and nothing per untouched strand.  A word whose
-    expanded length exceeds MAX_WORD_LENGTH, the bound `parse` puts on a
-    word, is refused before the pass.
+    to the count; a block h^[b,a] stacks H^b, H^(b-1), ..., H^a by one
+    `_stack` call each, a diapsis with no range built.  The pass counts
+    the expanded length, sum(b - a + 1), as it goes: a block that would
+    take it past `limit` is refused with DomainError before any of it is
+    stacked.  The map is a flat list of 2n + 1 slots when n is at most the
+    number of factors: code c at index c, so bottom code -c lands at index
+    2n + 1 - c.  Otherwise it is a `_Mates` map of the touched codes, so
+    memory stays O(number of factors) whatever n is.
     """
-    if sum(g.upper - g.lower + 1 for g in t.word if isinstance(g, Block)) > MAX_WORD_LENGTH:
-        raise DomainError(f"expanded word longer than {MAX_WORD_LENGTH} diapsides")
-    mate = _Mates()
-    circles = 0
-    for g in t.word:
+    n, word = t.n, t.word
+    if n <= len(word):
+        mate = [0, *range(-1, -n - 1, -1), *range(n, 0, -1)]
+    else:
+        mate = _Mates()
+    circles = closed = expanded = 0  # circle factors, circles the stacking closes, diapsides
+    for g in word:
         if not isinstance(g, Block):
             circles += 1
-        elif g.upper == g.lower:
-            circles += _stack(mate, g.upper)
+            continue
+        b, a = g.upper, g.lower
+        expanded += b - a + 1
+        if expanded > limit:
+            raise DomainError(f"expanded word longer than {limit} diapsides")
+        if b == a:
+            closed += _stack(mate, b)
         else:
-            for i in range(g.upper, g.lower - 1, -1):
-                circles += _stack(mate, i)
-    return mate, circles
+            for i in range(b, a - 1, -1):
+                closed += _stack(mate, i)
+    return mate, circles + closed, expanded, len(word) - circles
+
+
+def _threads(n: int, mate: list[int] | _Mates):
+    """(code, partner) items of `_rewire`'s map: all codes of a list, the touched ones of a map."""
+    if isinstance(mate, list):
+        return chain(zip(range(1, n + 1), mate[1:]), zip(range(-n, 0), mate[n + 1:]))
+    return mate.items()
+
+
+def _read_nf(n: int, mate: list[int] | _Mates, circles: int) -> JonesNF:
+    """The Jones normal form of `_rewire`'s result, read off its slope points.
+
+    A vertical thread is never a slope point, so no `Diagram` is built
+    and an untouched strand of a sparse map costs nothing.
+    """
+    top, bottom = slope_points_of(_threads(n, mate))
+    return JonesNF(n, circles, tuple(zip(bottom, top)))
 
 
 def delta(t: Term) -> Diagram:
     """The diagram of the word, first factor at the bottom.
 
-    `_rewire`'s touched threads plus the untouched verticals, built into
-    one validated `Diagram`: O(n) on top of the pass.  A size over
-    MAX_WORD_LENGTH is refused before the 2n codes are built.
+    `_rewire`'s threads, plus the untouched verticals that a sparse map
+    leaves out, built into one validated `Diagram`: O(n) on top of the
+    pass.  A size over MAX_WORD_LENGTH is refused before the 2n codes
+    are built.
     """
-    mate, circles = _rewire(t)
-    if t.n > MAX_WORD_LENGTH:
-        raise DomainError(f"diagram size {t.n} exceeds {MAX_WORD_LENGTH}")
-    pairs = [(c, m) for c, m in mate.items() if c < m]
-    pairs.extend((-i, i) for i in range(1, t.n + 1) if i not in mate)
-    return Diagram(t.n, tuple(pairs), circles)
+    n = t.n
+    mate, circles, _, _ = _rewire(t, MAX_WORD_LENGTH)
+    if n > MAX_WORD_LENGTH:
+        raise DomainError(f"diagram size {n} exceeds {MAX_WORD_LENGTH}")
+    pairs = [(c, m) for c, m in _threads(n, mate) if c < m]
+    if len(pairs) < n:  # a sparse map: add the verticals it leaves out
+        pairs.extend((-i, i) for i in range(1, n + 1) if i not in mate)
+    return Diagram(n, tuple(pairs), circles)
 
 
 def nf_by_diagram(t: Term) -> JonesNF:
     """The Jones normal form of the word, read off its diagram.
 
-    Reads the slope points of `diagram_to_nf` off `_rewire`'s touched
-    entries only: a vertical thread is never a slope point, so no
-    `Diagram` is built and an untouched strand costs nothing.  The cost,
-    in time and in memory, is that of the pass: the expanded length
-    sum(b - a + 1) over the word's blocks.  A wide block such as h[n-1,1]
-    thus costs O(n) here, while `normal_form` rewrites blocks whole;
-    `decide_nf` picks between the two.
+    The cost, in time and in memory, is that of `_rewire`'s pass: the
+    expanded length sum(b - a + 1) over the word's blocks, which must be
+    at most MAX_WORD_LENGTH.  A wide block such as h[n-1,1] thus costs
+    O(n) here, while `normal_form` rewrites blocks whole; `decide_nf`
+    picks between the two.
     """
-    mate, circles = _rewire(t)
-    top, bottom = slope_points_of(mate.items())
-    return JonesNF(t.n, circles, tuple(zip(bottom, top)))
+    mate, circles, _, _ = _rewire(t, MAX_WORD_LENGTH)
+    return _read_nf(t.n, mate, circles)
 
 
 def decide_nf(t: Term) -> JonesNF:
     """The Jones normal form of the word, by the route its shape favours.
 
-    The diagram route (`nf_by_diagram`) costs the expanded length; the
-    cost of the rewriting (`normal_form`) does not grow with the widths
-    of the blocks.  The diagram decides while the expanded length is at
-    most DIAGRAM_ROUTE_WIDTH times the number of blocks, so its time and
-    memory stay within a fixed multiple of the word's length, and at most
-    MAX_WORD_LENGTH, above which `_rewire` refuses; other words, such as
-    h[n-1,1] at a large n, are rewritten, so every word that parses gets
-    an answer.
+    The diagram route costs the expanded length E; the rewriting
+    (`normal_form`) does not grow with the widths of the blocks.  The
+    diagram decides while E is at most DIAGRAM_ROUTE_WIDTH times the
+    number of blocks and at most MAX_WORD_LENGTH, so its time and memory
+    stay within a fixed multiple of the word's length; other words, such
+    as h[n-1,1] at a large n, are rewritten, so every word that parses
+    gets an answer.  The rule is read off `_rewire`'s pass, which gives up
+    once E passes DIAGRAM_ROUTE_WIDTH times the number of factors, so a
+    rewritten word wastes at most that many `_stack` calls.
     """
-    widths = [g.upper - g.lower + 1 for g in t.word if isinstance(g, Block)]
-    if sum(widths) <= min(DIAGRAM_ROUTE_WIDTH * len(widths), MAX_WORD_LENGTH):
-        return nf_by_diagram(t)
-    return normal_form(t)
+    try:
+        mate, circles, expanded, blocks = _rewire(
+            t, min(DIAGRAM_ROUTE_WIDTH * len(t.word), MAX_WORD_LENGTH))
+    except DomainError:
+        return normal_form(t)
+    if expanded > DIAGRAM_ROUTE_WIDTH * blocks:
+        return normal_form(t)
+    return _read_nf(t.n, mate, circles)
 
 
 def decide_equal(t: Term, u: Term, cross_check: bool = False) -> bool:

@@ -38,7 +38,8 @@ from __future__ import annotations
 
 import re
 
-from .terms import CIRCLE, Block, DomainError, Generator, Term, _check_int, make_block
+from .terms import (CIRCLE, Block, DomainError, Generator, Term, _check_int, _parsed_term,
+                    make_block)
 
 MAX_WORD_LENGTH = 10**6  # factors in a parsed word, after circle powers are unboxed
 
@@ -133,17 +134,18 @@ def parse(text: str, n: int) -> Term:
             return _scan(text, n, pos, word, memo)
         word.extend(map(memo.__getitem__, tokens))
         pos = cut
-    return Term(n, tuple(word))
+    return _parsed_term(n, tuple(word))
 
 
 def _scan(text: str, n: int, pos: int = 0, word: list[Generator] | None = None,
           blocks: dict[str, Generator] | None = None) -> Term:
     """Parse text[pos:] onto `word` by the regex loop: one match per factor.
 
-    The reference for `parse`, and where every error is raised.  `pos`
-    must lie between factors, as whitespace does.  `blocks` maps factor
-    texts to the blocks already built for them; `parse` hands over its
-    token dict, whose keys other than "c" are such factor texts.
+    The reference for `parse`, and where every error is raised.  n must
+    be an int >= 2, as `parse` checks.  `pos` must lie between factors,
+    as whitespace does.  `blocks` maps factor texts to the blocks already
+    built for them; `parse` hands over its token dict, whose keys other
+    than "c" are such factor texts.
     """
     index_width, power_width = len(str(n - 1)), len(str(MAX_WORD_LENGTH))
     blocks = {} if blocks is None else blocks  # factor text -> checked block
@@ -175,7 +177,7 @@ def _scan(text: str, n: int, pos: int = 0, word: list[Generator] | None = None,
             word.extend([CIRCLE] * k)
         # "1" and the end of the text contribute nothing
         pos = m.end()
-    return Term(n, tuple(word))
+    return _parsed_term(n, tuple(word))
 
 
 def _circle_power(run: re.Match) -> str:

@@ -111,6 +111,19 @@ class Term:
                 raise DomainError(f"not a generator: {g!r}")
 
 
+def _parsed_term(n: int, word: tuple[Generator, ...]) -> Term:
+    """The Term of K_n over `word`, without `Term`'s walk over the word.
+
+    Precondition: n is an int >= 2, and `word` is a tuple whose every
+    generator is CIRCLE or a Block that `make_block` has checked for K_n,
+    as `parse` builds them.
+    """
+    t = object.__new__(Term)
+    object.__setattr__(t, "n", n)
+    object.__setattr__(t, "word", word)
+    return t
+
+
 @dataclass(frozen=True)
 class JonesNF:
     """Packed Jones normal form: circle power plus ascending block list.

@@ -83,7 +83,7 @@ def test_nf_and_eq_stay_sparse_in_n(capsys, monkeypatch):
     n = "1000000000"
     wide = "h[999999999,1]"  # a billion diapsides expanded: rewritten whole
 
-    def refuse(term):
+    def refuse(mate, i):
         raise AssertionError("a wide word took the diagram route")
 
     tracemalloc.start()
@@ -92,17 +92,20 @@ def test_nf_and_eq_stay_sparse_in_n(capsys, monkeypatch):
             run(capsys, "nf", "-n", n, "h1 c h999999999"),
             run(capsys, "eq", "-n", n, "h1 h2 h1 c h999999999", "c h999999999 h1"),
             run(capsys, "eq", "-n", n, "h1 h2 h1", "h2 h1 h2", "--cross-check"),
-            # the diagram side refuses an expanded length over MAX_WORD_LENGTH up front
+            # the diagram side refuses the block that takes the expanded length over
+            # MAX_WORD_LENGTH before stacking any of it
             run(capsys, "eq", "-n", n, wide, "h1", "--cross-check"),
             run(capsys, "diagram", "-n", n, wide),
         ]
-        # fail at once, rather than after a billion rewirings, if the route rule breaks
-        monkeypatch.setattr("kauffman.semantics.nf_by_diagram", refuse)
-        results += [
-            run(capsys, "nf", "-n", n, f"{wide} c {wide}"),
-            run(capsys, "eq", "-n", n, f"{wide} {wide}", "h[999999997,1] h[999999999,3]"),
-            run(capsys, "eq", "-n", n, f"{wide} {wide}", f"c {wide}"),
-        ]
+        # each of these words opens with a wide block, which the route rule refuses
+        # before stacking any of it: fail at once, not after a billion rewirings
+        with monkeypatch.context() as patch:
+            patch.setattr("kauffman.semantics._stack", refuse)
+            results += [
+                run(capsys, "nf", "-n", n, f"{wide} c {wide}"),
+                run(capsys, "eq", "-n", n, f"{wide} {wide}", "h[999999997,1] h[999999999,3]"),
+                run(capsys, "eq", "-n", n, f"{wide} {wide}", f"c {wide}"),
+            ]
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

@@ -4,6 +4,7 @@ from itertools import product
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kauffman import (
     CIRCLE,
@@ -33,6 +34,7 @@ from kauffman import (
 from kauffman import semantics
 from kauffman.diagrams import is_planar_pairing
 from kauffman.semantics import DIAGRAM_ROUTE_WIDTH, _first_crossed, _stack, delta_block
+from kauffman.syntax import MAX_WORD_LENGTH
 
 from helpers import (compose_fold, diapsis_diagram, expand, identity, normal_forms_st,
                      nested, peel_states, terms_st)
@@ -226,8 +228,73 @@ def test_decide_nf_rewrites_wider_words(monkeypatch):
     k = DIAGRAM_ROUTE_WIDTH
     too_wide = Term(2 * k + 1, (Block(2 * k, 1), CIRCLE, Block(1, 1)) * 3)  # 6k + 3
     expected = nf_by_diagram(too_wide)
-    monkeypatch.setattr("kauffman.semantics.nf_by_diagram", _refuse)
+    rewritten = []
+
+    def rewrite(t):
+        rewritten.append(t)
+        return normal_form(t)
+
+    monkeypatch.setattr("kauffman.semantics.normal_form", rewrite)
     assert decide_nf(too_wide) == expected
+    assert rewritten == [too_wide]
+
+
+@st.composite
+def _wide_words(draw):
+    """Words of circles and blocks h[b,a] of K_n, n <= 80, about n/3 wide on average."""
+    n = draw(st.integers(2, 80))
+    block = st.tuples(st.integers(1, n - 1), st.integers(1, n - 1)).map(
+        lambda ba: Block(max(ba), min(ba)))
+    return Term(n, tuple(draw(st.lists(st.one_of(st.just(CIRCLE), block), max_size=8))))
+
+
+@settings(max_examples=300)
+@given(_wide_words(), st.sampled_from([MAX_WORD_LENGTH, 40, 100]))
+def test_decide_nf_rewrites_exactly_the_words_over_the_route_bound(t, max_length):
+    """The route rule, on words over and under each bound, and the rewiring a
+    rewritten word wastes: at most the route width per factor."""
+    blocks = [g for g in t.word if isinstance(g, Block)]
+    expanded = sum(g.upper - g.lower + 1 for g in blocks)
+    stacked, rewritten = [], []
+
+    def counting_stack(mate, i):
+        stacked.append(i)
+        return _stack(mate, i)
+
+    def rewrite(term):
+        rewritten.append(term)
+        return normal_form(term)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(semantics, "MAX_WORD_LENGTH", max_length)
+        patch.setattr(semantics, "_stack", counting_stack)
+        patch.setattr(semantics, "normal_form", rewrite)
+        nf = decide_nf(t)
+    assert nf == normal_form(t)
+    assert bool(rewritten) == (expanded > min(DIAGRAM_ROUTE_WIDTH * len(blocks), max_length))
+    assert len(stacked) <= min(DIAGRAM_ROUTE_WIDTH * len(t.word), max_length)
+
+
+@settings(max_examples=300)
+@given(terms_st(max_n=12, max_len=30))
+def test_flat_list_and_sparse_map_agree(t):
+    """The same word at a size over its factor count is rewired on the sparse map."""
+    wide = Term(t.n + len(t.word) + 1, t.word)
+    assert type(semantics._rewire(wide, MAX_WORD_LENGTH)[0]) is semantics._Mates
+    nf, wide_nf = nf_by_diagram(t), nf_by_diagram(wide)
+    assert (nf.circles, nf.blocks) == (wide_nf.circles, wide_nf.blocks)
+
+
+def test_nf_by_diagram_keeps_no_slot_per_strand_of_a_short_word():
+    t = Term(10**6, (Block(5, 5),))
+    tracemalloc.start()
+    try:
+        nf = nf_by_diagram(t)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert nf == JonesNF(10**6, 0, ((5, 5),))
+    assert peak < 1_000_000
 
 
 def test_nf_by_diagram_builds_no_diagram(monkeypatch):

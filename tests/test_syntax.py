@@ -277,6 +277,14 @@ def test_parse_builds_each_factor_text_once_when_the_regex_loop_takes_over(text)
     assert counts[0] == counts[1]
 
 
+@pytest.mark.parametrize("text", ["h1 c h[2,1] h1", "h1 c^1 * h[2,1] h1"])
+def test_parse_hands_over_its_word_without_term_walking_it_again(text):
+    """`_block` has checked each distinct block, on the fast path and in the regex loop."""
+    expected = Term(3, (Block(1, 1), CIRCLE, Block(2, 1), Block(1, 1)))
+    with mock.patch.object(Term, "__post_init__", side_effect=AssertionError(text)):
+        assert parse(text, 3) == expected
+
+
 @pytest.mark.parametrize("text", ["c^2 h1 h2", "h1 h2 * h[2,1]", "h1*h2", "h1 c^0 h2 1"])
 def test_a_star_or_a_circle_power_sends_the_text_to_the_regex_loop_unsplit(text):
     """Canonical texts ("c^k ...") and starred ones cost the fast path no token check."""
