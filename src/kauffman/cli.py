@@ -10,13 +10,23 @@ and `nf --trace` writes one line per rewrite step as the step fires, up
 to TRACE_CHUNK lines per write, so neither holds its whole output in
 memory; a failure partway leaves the lines of everything before it on
 stdout.
+
+Each call builds its own argparse parser, and declares in it only the
+arguments of the command that its argv names.  Every command still gets
+its subparser and help line, so usage, `-h` and an invalid-choice error
+list all eight; argparse picks a subcommand by an exact match of one
+argv token, so the command it runs is always fully declared.  The
+terminal width, which argparse would read once per help formatter, is
+read once per call.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
+import shutil
 import sys
 from typing import Sequence
 
@@ -38,68 +48,6 @@ from .terms import DomainError, nf_to_term
 
 EXIT_CLOSED_PIPE = 141
 TRACE_CHUNK = 512  # nf --trace lines per write
-
-
-def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="kauffman",
-        description="Kauffman monoids: Jones normal forms, diagrams, word problem.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    def add(name: str, help_: str, with_n: bool = True) -> argparse.ArgumentParser:
-        p = sub.add_parser(name, help=help_)
-        if with_n:
-            p.add_argument("-n", type=int, required=True, metavar="N",
-                           help="monoid size (number of strands)")
-        return p
-
-    p = add("nf", "reduce a term to Jones normal form")
-    p.add_argument("term")
-    p.add_argument("--trace", action="store_true", help="print one line per rewrite step")
-    p.set_defaults(func=_cmd_nf)
-
-    p = add("eq", "decide whether two terms are equal")
-    p.add_argument("term_t")
-    p.add_argument("term_u")
-    p.add_argument("--cross-check", action="store_true",
-                   help="run both the diagram route and the rewriting")
-    p.set_defaults(func=_cmd_eq)
-
-    p = add("diagram", "print the diagram of a term as JSON")
-    p.add_argument("term")
-    p.set_defaults(func=_cmd_diagram)
-
-    p = add("term-of", "read a diagram JSON from stdin, print its normal-form term",
-            with_n=False)
-    p.add_argument("--method", choices=("slope", "peel"), default="slope")
-    p.set_defaults(func=_cmd_term_of)
-
-    p = add("enum", "list terms, planar pairings, or normal forms")
-    group = p.add_mutually_exclusive_group(required=True)
-    group.add_argument("--terms", type=int, metavar="L", help="all terms of length <= L")
-    group.add_argument("--pairings", action="store_true",
-                       help="all circle-free planar diagrams, one JSON per line")
-    group.add_argument("--nf", type=int, metavar="C",
-                       help="all normal forms with at most C circles")
-    p.set_defaults(func=_cmd_enum)
-
-    p = add("count", "count enumerated objects")
-    p.add_argument("--pairings", action="store_true", required=True)
-    p.set_defaults(func=_cmd_count)
-
-    p = add("render", "draw the diagram of a term")
-    p.add_argument("term")
-    p.add_argument("--format", choices=("svg", "ascii"), default="svg")
-    p.add_argument("--unit", type=float, default=None,
-                   help="pixels per step (svg) or columns per step (ascii)")
-    p.add_argument("--labels", action="store_true", help="label the boundary points")
-    p.set_defaults(func=_cmd_render)
-
-    p = add("selftest", "run the exhaustive small-size oracle suite", with_n=False)
-    p.set_defaults(func=_cmd_selftest)
-
-    return parser
 
 
 def _cmd_nf(args) -> int:
@@ -176,6 +124,91 @@ def _cmd_selftest(args) -> int:
     return 0 if selftest.run() else 1
 
 
+def _nf_arguments(p: argparse.ArgumentParser) -> None:
+    p.add_argument("term")
+    p.add_argument("--trace", action="store_true", help="print one line per rewrite step")
+
+
+def _eq_arguments(p: argparse.ArgumentParser) -> None:
+    p.add_argument("term_t")
+    p.add_argument("term_u")
+    p.add_argument("--cross-check", action="store_true",
+                   help="run both the diagram route and the rewriting")
+
+
+def _term_arguments(p: argparse.ArgumentParser) -> None:
+    p.add_argument("term")
+
+
+def _term_of_arguments(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--method", choices=("slope", "peel"), default="slope")
+
+
+def _enum_arguments(p: argparse.ArgumentParser) -> None:
+    group = p.add_mutually_exclusive_group(required=True)
+    group.add_argument("--terms", type=int, metavar="L", help="all terms of length <= L")
+    group.add_argument("--pairings", action="store_true",
+                       help="all circle-free planar diagrams, one JSON per line")
+    group.add_argument("--nf", type=int, metavar="C",
+                       help="all normal forms with at most C circles")
+
+
+def _count_arguments(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--pairings", action="store_true", required=True)
+
+
+def _render_arguments(p: argparse.ArgumentParser) -> None:
+    p.add_argument("term")
+    p.add_argument("--format", choices=("svg", "ascii"), default="svg")
+    p.add_argument("--unit", type=float, default=None,
+                   help="pixels per step (svg) or columns per step (ascii)")
+    p.add_argument("--labels", action="store_true", help="label the boundary points")
+
+
+# (name, help, takes -n, declares its other arguments, runs it), in the order of `-h`
+_COMMANDS = (
+    ("nf", "reduce a term to Jones normal form", True, _nf_arguments, _cmd_nf),
+    ("eq", "decide whether two terms are equal", True, _eq_arguments, _cmd_eq),
+    ("diagram", "print the diagram of a term as JSON", True, _term_arguments, _cmd_diagram),
+    ("term-of", "read a diagram JSON from stdin, print its normal-form term", False,
+     _term_of_arguments, _cmd_term_of),
+    ("enum", "list terms, planar pairings, or normal forms", True, _enum_arguments, _cmd_enum),
+    ("count", "count enumerated objects", True, _count_arguments, _cmd_count),
+    ("render", "draw the diagram of a term", True, _render_arguments, _cmd_render),
+    ("selftest", "run the exhaustive small-size oracle suite", False, None, _cmd_selftest),
+)
+
+
+def _build_parser(argv: Sequence[str]) -> argparse.ArgumentParser:
+    """The parser for `argv`: every command, with its arguments only if `argv` names it.
+
+    Each command gets its subparser and help line, so usage, `-h` and an
+    invalid-choice error list all of them; argparse picks the subparser by
+    an exact match of one argv token, so the one it runs is fully declared.
+    Every formatter gets the width that argparse would read itself, read
+    once here instead of once per formatter.
+    """
+    formatter = functools.partial(argparse.HelpFormatter,
+                                  width=shutil.get_terminal_size().columns - 2)
+    parser = argparse.ArgumentParser(
+        prog="kauffman",
+        description="Kauffman monoids: Jones normal forms, diagrams, word problem.",
+        formatter_class=formatter,
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, help_, with_n, add_arguments, func in _COMMANDS:
+        p = sub.add_parser(name, help=help_, formatter_class=formatter)
+        if name not in argv:
+            continue
+        if with_n:
+            p.add_argument("-n", type=int, required=True, metavar="N",
+                           help="monoid size (number of strands)")
+        if add_arguments is not None:
+            add_arguments(p)
+        p.set_defaults(func=func)
+    return parser
+
+
 def main(argv: Sequence[str] | None = None) -> int:
     try:
         code = _run(argv)
@@ -191,9 +224,10 @@ def main(argv: Sequence[str] | None = None) -> int:
 
 
 def _run(argv: Sequence[str] | None) -> int:
-    parser = _build_parser()
+    if argv is None:
+        argv = sys.argv[1:]
     try:
-        args = parser.parse_args(argv)
+        args = _build_parser(argv).parse_args(argv)
     except SystemExit as e:
         return int(e.code or 0)
     try:

@@ -202,11 +202,20 @@ def decide_nf(t: Term) -> JonesNF:
     as h[n-1,1] at a large n, are rewritten, so every word that parses
     gets an answer.  The rule is read off `_rewire`'s pass, which gives up
     once E passes DIAGRAM_ROUTE_WIDTH times the number of factors, so a
-    rewritten word wastes at most that many `_stack` calls.
+    rewritten word wastes at most that many `_stack` calls.  A word of
+    more than MAX_WORD_LENGTH // DIAGRAM_ROUTE_WIDTH factors, where that
+    many calls could reach MAX_WORD_LENGTH, has its widths summed first
+    and is rewritten without any.
     """
+    word = t.word
+    if len(word) > MAX_WORD_LENGTH // DIAGRAM_ROUTE_WIDTH:
+        blocks = [g for g in word if isinstance(g, Block)]
+        expanded = sum(g.upper - g.lower + 1 for g in blocks)
+        if expanded > min(DIAGRAM_ROUTE_WIDTH * len(blocks), MAX_WORD_LENGTH):
+            return normal_form(t)
     try:
         mate, circles, expanded, blocks = _rewire(
-            t, min(DIAGRAM_ROUTE_WIDTH * len(t.word), MAX_WORD_LENGTH))
+            t, min(DIAGRAM_ROUTE_WIDTH * len(word), MAX_WORD_LENGTH))
     except DomainError:
         return normal_form(t)
     if expanded > DIAGRAM_ROUTE_WIDTH * blocks:

@@ -1,16 +1,22 @@
+import argparse
+import importlib.util
 import io
 import json
 import os
 import random
+import shutil
 import subprocess
 import sys
 import time
 import tracemalloc
 import xml.etree.ElementTree as ET
 from collections import Counter
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import kauffman
 
@@ -28,6 +34,7 @@ from kauffman import (
     rewrite,
     to_json_dict,
 )
+from kauffman import cli
 from kauffman.cli import EXIT_CLOSED_PIPE, TRACE_CHUNK, main
 from kauffman.draw import render_ascii
 from kauffman.selftest import random_term
@@ -645,6 +652,93 @@ def test_bad_usage_exit_code(capsys):
     capsys.readouterr()
     assert main(["enum", "-n", "3"]) == 2   # missing listing selector
     capsys.readouterr()
+
+
+COMMAND_NAMES = [name for name, *_ in cli._COMMANDS]
+
+
+def _parsed(parser: argparse.ArgumentParser, argv: list[str]):
+    """(exit code, stdout, stderr, namespace without func) of parser.parse_args(argv)."""
+    out, err = io.StringIO(), io.StringIO()
+    code = namespace = None
+    with redirect_stdout(out), redirect_stderr(err):
+        try:
+            namespace = vars(parser.parse_args(argv))
+        except SystemExit as e:
+            code = e.code
+    if namespace is not None:
+        namespace.pop("func", None)
+    return code, out.getvalue(), err.getvalue(), namespace
+
+
+def assert_parsed_as_by_the_full_parser(argv: list[str]):
+    """The parser for argv parses it as the one that declares every command's arguments."""
+    assert _parsed(cli._build_parser(argv), argv) == \
+        _parsed(cli._build_parser(argv + COMMAND_NAMES), argv)
+
+
+_argv_token = st.one_of(
+    st.sampled_from(COMMAND_NAMES + [
+        "-h", "--help", "-n", "--trace", "--cross-check", "--method", "slope", "peel",
+        "--terms", "--pairings", "--nf", "--format", "svg", "ascii", "--unit", "--labels",
+        "--tr", "--pair", "-", "--"]),
+    st.integers(-2, 12).map(str),
+    st.sampled_from(["h1", "h2 h1 h2", "c^2 h[3,1]", "h1 * h9", "nf h1"]),
+    st.text(max_size=8),
+)
+
+
+_argv = st.lists(_argv_token, max_size=7)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_argv | st.tuples(_argv, st.sampled_from(COMMAND_NAMES), _argv).map(
+    lambda t: [*t[0], t[1], *t[2]]))
+def test_each_call_declares_enough_to_parse_as_the_full_parser(argv):
+    """Any argv, and argv with a command name somewhere in it."""
+    assert_parsed_as_by_the_full_parser(argv)
+
+
+def _workload_argvs(workload: str) -> list[list[str]]:
+    """Every argv of a benchmark workload's request list, on the default seed."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = workloads  # dataclasses look their module up by name
+    try:
+        spec.loader.exec_module(workloads)
+    finally:
+        del sys.modules[spec.name]
+    return [list(req.argv) for req in workloads.build(workload, 1)]
+
+
+@pytest.mark.parametrize("workload", ["terms", "to-diagram", "from-diagram"])
+def test_every_workload_argv_parses_as_by_the_full_parser(workload):
+    for argv in _workload_argvs(workload):
+        assert_parsed_as_by_the_full_parser(argv)
+
+
+def test_a_command_not_named_carries_only_its_help_action():
+    parser = cli._build_parser(["nf", "-n", "3", "h1"])
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    assert list(sub.choices) == COMMAND_NAMES
+    declared = {name: [a.dest for a in p._actions] for name, p in sub.choices.items()}
+    assert declared.pop("nf") == ["help", "n", "term", "trace"]
+    assert all(dests == ["help"] for dests in declared.values())
+
+
+@pytest.mark.parametrize("argv", [
+    ["nf", "-n", "3", "h2 h1 h2"], ["-h"], ["enum", "-h"], ["count", "-n", "3"], ["bogus"]])
+def test_the_terminal_width_is_read_once_per_call(monkeypatch, capsys, argv):
+    calls, terminal_size = [], shutil.get_terminal_size
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return terminal_size(*args, **kwargs)
+
+    monkeypatch.setattr(shutil, "get_terminal_size", counting)
+    main(argv)
+    assert len(calls) == 1
 
 
 def test_selftest(capsys):

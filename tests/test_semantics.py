@@ -252,7 +252,8 @@ def _wide_words(draw):
 @given(_wide_words(), st.sampled_from([MAX_WORD_LENGTH, 40, 100]))
 def test_decide_nf_rewrites_exactly_the_words_over_the_route_bound(t, max_length):
     """The route rule, on words over and under each bound, and the rewiring a
-    rewritten word wastes: at most the route width per factor."""
+    rewritten word wastes: at most the route width per factor, and none on a
+    word of more than max_length // DIAGRAM_ROUTE_WIDTH factors."""
     blocks = [g for g in t.word if isinstance(g, Block)]
     expanded = sum(g.upper - g.lower + 1 for g in blocks)
     stacked, rewritten = [], []
@@ -273,6 +274,8 @@ def test_decide_nf_rewrites_exactly_the_words_over_the_route_bound(t, max_length
     assert nf == normal_form(t)
     assert bool(rewritten) == (expanded > min(DIAGRAM_ROUTE_WIDTH * len(blocks), max_length))
     assert len(stacked) <= min(DIAGRAM_ROUTE_WIDTH * len(t.word), max_length)
+    if rewritten and len(t.word) > max_length // DIAGRAM_ROUTE_WIDTH:
+        assert stacked == []
 
 
 @settings(max_examples=300)
