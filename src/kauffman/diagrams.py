@@ -8,9 +8,11 @@ point (i, 0) as -i, so a diagram is a perfect matching on
 the closed integer intervals spanned by its pairs are pairwise disjoint
 or nested, equivalently iff the matching reads as a balanced bracket
 sequence in code order -n .. -1, 1 .. n.  `Diagram` validates by that
-one walk in code order over the code -> partner map, which it keeps as
-`involution`; the walk also yields the pairs in canonical order (sorted,
-min code first).
+one walk in code order over the code -> partner map `mates`, a flat
+sequence of 2n + 1 slots: code c at index c, so bottom code -c lands at
+index 2n + 1 - c by negative indexing.  Every reader indexes that one
+layout.  The walk also yields the pairs in canonical order (sorted, min
+code first).
 
 Because two diagrams are equal as equivalence classes exactly when their
 pairings and circle counts agree, equality of `Diagram` values is plain
@@ -27,7 +29,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import chain
-from typing import Iterable
 
 from .syntax import MAX_WORD_LENGTH
 from .terms import DomainError
@@ -49,39 +50,45 @@ class Diagram:
     n: int
     pairs: tuple[tuple[int, int], ...]
     circles: int = 0
-    involution: dict[int, int] = field(init=False, repr=False, compare=False)
+    mates: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        n = self.n
-        partner: dict[int, int] = {}
+        n, pairs = self.n, self.pairs
         try:
-            for a, b in self.pairs:
-                partner[a] = b
-                partner[b] = a
+            ends = [end for a, b in pairs for end in (a, b)]
+            # type() rather than isinstance(): bool is an int subclass and is refused too
+            integral = {type(n), type(self.circles), *map(type, ends)} == {int}
+            if not integral:
+                hash(tuple(ends))  # an unhashable code is refused as no code at all
         except (TypeError, ValueError):  # an item that is not two hashable codes
             raise DomainError("pairs must be pairs of integer codes") from None
-        # type() rather than isinstance(): bool is an int subclass and is refused too
-        if {type(n), type(self.circles), *map(type, partner)} != {int}:
+        if not integral:
             raise DomainError("diagram size, circle count and codes must be integers")
         if n < 1:
             raise DomainError(f"diagram size must be >= 1, got {n}")
         if self.circles < 0:
             raise DomainError(f"circle count must be >= 0, got {self.circles}")
-        # n pairs over 2n distinct nonzero codes in -n..n cover each code once
-        if (len(self.pairs) != n or len(partner) != 2 * n or 0 in partner
-                or min(partner) < -n or max(partner) > n):
-            raise DomainError(f"pairs must match each of the codes -{n}..-1, 1..{n} exactly once")
+        # n pairs over 2n distinct nonzero codes in -n..n cover each code once; the range
+        # is checked before any slot is indexed, since a code past n aliases a bottom slot
+        cover = f"pairs must match each of the codes -{n}..-1, 1..{n} exactly once"
+        if len(ends) != 2 * n or 0 in ends or min(ends) < -n or max(ends) > n:
+            raise DomainError(cover)
+        mates = [0] * (2 * n + 1)
+        for a, b in pairs:
+            mates[a], mates[b] = b, a
+        if mates.count(0) != 1:  # a code given twice leaves another code's slot empty
+            raise DomainError(cover)
         stack: list[int] = []
         canon: list[tuple[int, int]] = []
         for code in chain(range(-n, 0), range(1, n + 1)):
-            mate = partner[code]
+            mate = mates[code]
             if mate > code:
                 stack.append(code)
                 canon.append((code, mate))
             elif stack.pop() != mate:  # mate was pushed: the stack is not empty
                 raise DomainError("pairing has crossing threads")
         object.__setattr__(self, "pairs", tuple(canon))
-        object.__setattr__(self, "involution", partner)
+        object.__setattr__(self, "mates", tuple(mates))
 
 
 def compose(bottom: Diagram, top: Diagram) -> Diagram:
@@ -96,19 +103,19 @@ def compose(bottom: Diagram, top: Diagram) -> Diagram:
     if bottom.n != top.n:
         raise DomainError(f"size mismatch: {bottom.n} vs {top.n}")
     n = bottom.n
-    up, low = top.involution, bottom.involution
+    up, low = top.mates, bottom.mates
     crossed = bytearray(n + 1)  # interface points some walk has passed
-    reached: set[int] = set()   # free ends where a walk stopped
+    mates = [0] * (2 * n + 1)   # the result's: a filled slot is a free end some walk reached
     pairs: list[tuple[int, int]] = []
     for start in chain(range(1, n + 1), range(-1, -n - 1, -1)):
-        if start in reached:
+        if mates[start]:
             continue
         code, in_top = start, start > 0
         # walk on until a free end: a top code of `top` or a bottom code of `bottom`
         while ((code := (up if in_top else low)[code]) > 0) != in_top:
             crossed[abs(code)] = 1
             code, in_top = -code, not in_top
-        reached.add(code)
+        mates[start], mates[code] = code, start
         pairs.append((start, code))
 
     loops = 0
@@ -129,6 +136,13 @@ def span(d: Diagram) -> int:
     return sum(abs(abs(a) - abs(b)) for a, b in d.pairs)
 
 
+def _threads(n: int, mates):
+    """(code, partner) items of a partner map: every code of a flat one, the entries of a dict."""
+    if isinstance(mates, dict):
+        return mates.items()
+    return chain(zip(range(1, n + 1), mates[1:n + 1]), zip(range(-n, 0), mates[n + 1:]))
+
+
 def slope_points(d: Diagram) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """Ascending top and bottom slope sequences (T, B).
 
@@ -137,17 +151,13 @@ def slope_points(d: Diagram) -> tuple[tuple[int, ...], tuple[int, ...]]:
     to its left.  Reading T as lower indices and B as upper indices
     recovers the Jones normal form of the diagram.
     """
-    return slope_points_of(d.involution.items())
+    return slope_points_of(d.n, d.mates)
 
 
-def slope_points_of(mates: Iterable[tuple[int, int]]) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """`slope_points` of (code, partner) items, one per code.
-
-    A vertical thread (-i, i) is never a slope point, so the items may
-    leave out any of them.
-    """
+def slope_points_of(n: int, mates) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """`slope_points` of a flat partner map, or of a dict that may omit vertical threads."""
     top, bottom = [], []
-    for c, m in mates:
+    for c, m in _threads(n, mates):
         if 0 < c < abs(m):
             top.append(c)
         elif abs(m) < -c:

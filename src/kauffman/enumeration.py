@@ -99,9 +99,9 @@ def pairing_to_parenword(d: Diagram) -> str:
     """Read the pairing as a balanced bracket word in code order."""
     if d.circles != 0:
         raise DomainError("parenthetical words encode circle-free diagrams only")
-    inv = d.involution
+    mates = d.mates
     return "".join(
-        OPEN if inv[code] > code else CLOSE
+        OPEN if mates[code] > code else CLOSE
         for code in (*range(-d.n, 0), *range(1, d.n + 1))
     )
 

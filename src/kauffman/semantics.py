@@ -10,9 +10,7 @@ wrong; it is pinned by the compose(H^1, H^2) example in the test suite.
 The monoid given by generators and relations is isomorphic to the
 diagram monoid, so a word's Jones normal form can be read off its
 diagram: `nf_by_diagram` does so in one rewiring pass over the expanded
-word, however many rewrite steps the word would need.  The pass keeps
-the partner map in a flat list when n is at most the number of factors,
-and in a sparse map of the touched codes otherwise.  The rewriting of
+word, however many rewrite steps the word would need.  The rewriting of
 `rewrite`, which follows the paper, is the reference and rewrites blocks
 whole.  `decide_nf`, and so the word problem, takes the diagram route
 unless the word's blocks are too wide for it, which the same pass finds
@@ -64,10 +62,8 @@ Two extraction procedures invert delta on normal forms:
 
 from __future__ import annotations
 
-from itertools import chain
-
 # compose is unused here and delta_block only by the tests, but perfbench/tracing.py patches both.
-from .diagrams import Diagram, compose, slope_points, slope_points_of, span  # noqa: F401
+from .diagrams import Diagram, _threads, compose, slope_points, slope_points_of, span  # noqa: F401
 from .rewrite import ConsistencyError, normal_form
 from .syntax import MAX_WORD_LENGTH
 from .terms import Block, DomainError, JonesNF, Term, _check_int, nf_to_term
@@ -116,10 +112,9 @@ def _rewire(t: Term, limit: int) -> tuple[list[int] | _Mates, int, int, int]:
     `_stack` call each, a diapsis with no range built.  The pass counts
     the expanded length, sum(b - a + 1), as it goes: a block that would
     take it past `limit` is refused with DomainError before any of it is
-    stacked.  The map is a flat list of 2n + 1 slots when n is at most the
-    number of factors: code c at index c, so bottom code -c lands at index
-    2n + 1 - c.  Otherwise it is a `_Mates` map of the touched codes, so
-    memory stays O(number of factors) whatever n is.
+    stacked.  The map is a flat list in `diagrams`' layout when n is at
+    most the number of factors.  Otherwise it is a `_Mates` map of the
+    touched codes, so memory stays O(number of factors) whatever n is.
     """
     n, word = t.n, t.word
     if n <= len(word):
@@ -143,20 +138,13 @@ def _rewire(t: Term, limit: int) -> tuple[list[int] | _Mates, int, int, int]:
     return mate, circles + closed, expanded, len(word) - circles
 
 
-def _threads(n: int, mate: list[int] | _Mates):
-    """(code, partner) items of `_rewire`'s map: all codes of a list, the touched ones of a map."""
-    if isinstance(mate, list):
-        return chain(zip(range(1, n + 1), mate[1:]), zip(range(-n, 0), mate[n + 1:]))
-    return mate.items()
-
-
 def _read_nf(n: int, mate: list[int] | _Mates, circles: int) -> JonesNF:
     """The Jones normal form of `_rewire`'s result, read off its slope points.
 
     A vertical thread is never a slope point, so no `Diagram` is built
     and an untouched strand of a sparse map costs nothing.
     """
-    top, bottom = slope_points_of(_threads(n, mate))
+    top, bottom = slope_points_of(n, mate)
     return JonesNF(n, circles, tuple(zip(bottom, top)))
 
 
@@ -251,7 +239,7 @@ def diagram_to_nf(d: Diagram) -> JonesNF:
     return JonesNF(d.n, d.circles, tuple(zip(bottom, top)))
 
 
-def _first_crossed(mate: dict[int, int], n: int, j: int) -> tuple[int, int]:
+def _first_crossed(mate: list[int], n: int, j: int) -> tuple[int, int]:
     """Ends (L, R) of the first thread that the cut below the cup (j, j+1) crosses.
 
     L lies left of the cut, R right of it.  Two cursors walk the boundary
@@ -292,7 +280,7 @@ def peel(d: Diagram) -> Term:
     size = span(d)
     if size // 2 > MAX_WORD_LENGTH:
         raise DomainError(f"peeled word longer than {MAX_WORD_LENGTH} diapsides")
-    mate = dict(d.involution)
+    mate = list(d.mates)
     cups = [i for i in range(1, n) if mate[i] == i + 1]  # ascending: the greatest on top
     indices = []
     while size > 0:

@@ -162,6 +162,14 @@ def test_diagram_rejects_non_matchings():
                  (2, ((-2, -1), (True, 2))), (2, ((-2, -1), ("1", 2)))]:
         with pytest.raises(DomainError):
             Diagram(*args)
+    with pytest.raises(DomainError, match="pairs must be pairs of integer codes"):
+        Diagram(1, (([1], -1),))  # an unhashable code
+    with pytest.raises(DomainError, match="codes must be integers"):
+        Diagram(2, ((-1, 1), (True, -2)), -1)  # True is refused even beside the code 1 it equals
+    # codes past 2n would overflow a flat map of 2n + 1 slots, code 0 would take its slot 0
+    for pairs in [((1, 9), (-2, 2)), ((-9, -1), (1, 2)), ((0, 1), (-2, 2))]:
+        with pytest.raises(DomainError, match=r"codes -2\.\.-1, 1\.\.2 exactly once"):
+            Diagram(2, pairs)
 
 
 def test_diagram_refuses_a_pair_of_three_codes():
@@ -248,6 +256,9 @@ def test_json_format_is_sorted_min_first():
     {"n": 2, "pairs": [[-2, -1], [True, 2]], "circles": 0},
     {"n": 2, "pairs": [[-2, -1], [1, 2.0]], "circles": 0},
     {"n": 2, "pairs": [[-2, -1], "12"], "circles": 0},
+    {"n": 2, "pairs": [[1, 9], [-2, 2]], "circles": 0},
+    {"n": 2, "pairs": [[-9, -1], [1, 2]], "circles": 0},
+    {"n": 2, "pairs": [[0, 1], [-2, 2]], "circles": 0},
 ])
 def test_json_validation(obj):
     with pytest.raises(DomainError):
@@ -318,10 +329,12 @@ def test_walk_accepts_exactly_the_planar_matchings(case):
         return
     d = Diagram(n, pairs)
     assert d.pairs == tuple(sorted((min(p), max(p)) for p in pairs))
-    assert d.involution == {**dict(pairs), **{b: a for a, b in pairs}}
+    partner = {**dict(pairs), **{b: a for a, b in pairs}}  # every code: the pairs are a matching
+    assert len(d.mates) == 2 * n + 1
+    assert {c: d.mates[c] for c in partner} == partner
     other = Diagram(n, tuple((b, a) for a, b in reversed(pairs)))
     assert other == d and hash(other) == hash(d)
-    assert "involution" not in repr(d)
+    assert "mates" not in repr(d)
 
 
 def test_is_planar_pairing_direct():

@@ -22,6 +22,7 @@ from kauffman import (
     enumerate_normal_forms,
     enumerate_pairings,
     enumerate_terms,
+    from_json_dict,
     nf_by_diagram,
     nf_to_term,
     normal_form,
@@ -30,6 +31,7 @@ from kauffman import (
     peel,
     slope_points,
     span,
+    to_json_dict,
 )
 from kauffman import semantics
 from kauffman.diagrams import is_planar_pairing
@@ -114,9 +116,9 @@ def test_stack_matches_composing_with_the_diapsis():
     for n in range(2, 7):
         for d in enumerate_pairings(n):
             for i in range(1, n):
-                mate = dict(d.involution)
+                mate = list(d.mates)
                 closed = _stack(mate, i)
-                pairs = tuple((c, m) for c, m in mate.items() if c < m)
+                pairs = tuple((c, mate[c]) for c in range(-n, n + 1) if c < mate[c])
                 assert Diagram(n, pairs, closed) == compose(d, delta_block(n, i, i)), (d, i)
 
 
@@ -407,6 +409,22 @@ def test_peel_refuses_a_word_over_the_bound_before_any_step():
     assert peak < 64_000
 
 
+def test_diagram_and_peel_hold_one_flat_partner_map():
+    # each code's partner once, in a slot of a flat map: no dict of 2n entries is built or copied
+    obj = to_json_dict(identity(10**5))
+    tracemalloc.start()
+    try:
+        d = from_json_dict(obj)
+        held = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        assert peel(d) == Term(10**5)
+        peak = tracemalloc.get_traced_memory()[1] - held
+    finally:
+        tracemalloc.stop()
+    assert held < 15 * 2**20
+    assert peak < 35 * 2**20
+
+
 def test_peel_bound_admits_exactly_the_bound(monkeypatch):
     d = nested(6)  # span/2 = 9
     monkeypatch.setattr("kauffman.semantics.MAX_WORD_LENGTH", 9)
@@ -426,7 +444,7 @@ def _broken_stack(mate, i):
 
 def _rewires_the_cup_below(mate, n, j):
     ends = _first_crossed(mate, n, j)
-    if mate.get(j - 2) == j - 1:  # the cup just below the top of the stack
+    if j > 2 and mate[j - 2] == j - 1:  # the cup just below the top of the stack
         mate[j - 2] = 2 - j
     return ends
 
