@@ -21,17 +21,21 @@ at each step, so any strategy terminates, and a word admits no redex
 exactly when it is a Jones normal form.  Words are flat and the unit is
 the empty word, so no rule eliminates units.
 
-Both routes share one scan loop, `_reduce`, which yields each redex it
-finds and reads the word as its caller left it after firing.
-`rewrite_steps` (trace mode) keeps the circles in the word, so only its
-steps include hcI, as the system above defines them; it checks the
-measure drop of every step from the fired pair alone and yields the step
-as it fires, so a caller that writes each step and drops it keeps O(L)
-memory however many steps there are.  `normalize` collects that stream
-into a `NormalizationTrace`.  `normal_form` uses that circles are central
-(h^[i,j] c = c h^[i,j]): it counts the circles of the input and of every
-hcII as an integer and rewrites only the blocks, so it never fires hcI.
-In both, a step costs O(1) plus the list splice.
+One kernel, `_reduce`, does all the rewriting: it scans the word,
+classifies each pair it reaches by `_classify` and fires each redex in
+place by `_rhs`; those two are the one rule table.  `rewrite_steps`
+(trace mode) keeps the circles in the word, so only its steps include
+hcI, as the system above defines them; the kernel checks the measure
+drop of every step from the fired pair alone and yields the step as it
+fires, so a caller that writes each step and drops it keeps O(L) memory
+however many steps there are.  In the leftmost scan, a circle that hcI
+moves crosses every block left of it: the kernel yields each step of
+that run, then moves the circle with one splice.  `normalize` collects
+the stream into a `NormalizationTrace`.  `normal_form` drains the same
+kernel without trace: circles are central (h^[i,j] c = c h^[i,j]), so
+it counts the circles of the input and of every hcII as an integer and
+rewrites only the blocks, and never fires hcI.  A step costs O(1) plus
+its list splice, and an hcI run of k steps one splice of k + 2 entries.
 
 The word problem is decided by the diagram route
 (`semantics.nf_by_diagram`) for most words; this module is the reference
@@ -45,7 +49,7 @@ returns the normal-form word itself.
 from __future__ import annotations
 
 # collections.abc's Generator, renamed: here a Generator is a generator of the monoid
-from collections.abc import Generator as Stream, Iterator
+from collections.abc import Generator as Stream
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -66,6 +70,9 @@ class RewriteStep(NamedTuple):
     position: int
     before: tuple[Generator, ...]
     after: tuple[Generator, ...]
+
+
+_new = tuple.__new__  # _new(RewriteStep, fields) skips RewriteStep's Python-level __new__
 
 
 @dataclass(frozen=True)
@@ -133,72 +140,114 @@ def _pack(n: int, word: list[Generator]) -> JonesNF:
     return JonesNF(n, circles, tuple(blocks))
 
 
-def _reduce(word: list[Generator], strategy: str) -> Iterator[tuple[int, str]]:
-    """Yield each redex (p, tag) of `word` in scan order until none remains.
+def _reduce(word: list[Generator], strategy: str,
+            trace: bool = False) -> Stream[RewriteStep, None, int]:
+    """Fire the redexes of `word` in place, in scan order, until none remains.
 
-    The caller fires the redex, replacing word[p:p+2] by its right-hand
-    side, before it asks for the next one; the scan reads the word as the
-    caller left it.  The cursor moves by `step`, +1 for leftmost and -1
-    for rightmost, and only ever needs to back up one position after a
-    firing, because rules change the word locally; so scanning costs
-    amortized O(1) per step.
+    The one rewriting kernel.  The cursor moves by `step`, +1 for leftmost
+    and -1 for rightmost; it classifies each pair it reaches by
+    `_classify` and replaces a redex in `word` by its `_rhs`.  Rules
+    change the word locally, so after a firing the cursor backs up one
+    position only, and scanning costs amortized O(1) per step.
+
+    In trace mode (`rewrite_steps`) the circles stay in the word, and
+    each step is checked to decrease the measure, then yielded as a
+    RewriteStep.  The check reads the fired pair alone: n1 sums over
+    blocks, so the pair's n1 change is the word's; a step that keeps n1
+    must swap the pair, which keeps its relations to the rest of the
+    word, so the pair's n2 change is the word's.  n1 is the sum of
+    upper - lower + 2 over the blocks.  n2 of a two-generator word u v is
+    1 when u is a block followed by a circle or by a block that u
+    dominates in either index, else 0; of two blocks one always dominates
+    the other, so the swap x y -> y x lowers n2 exactly when y is a circle
+    or a block that dominates x in neither index.  That is `measure_word`
+    on words of length <= 2, which is called only to word the error.  A
+    step that fails the check raises ConsistencyError before it is
+    yielded.
+
+    When the leftmost scan fires hcI at p, no pair left of p is a redex,
+    so word[:p + 1] is circles, then blocks, and the circle moves on by
+    hcI past every one of those blocks.  The kernel yields that whole run
+    step by step, each step through `_rhs` and the check, then moves the
+    circle with one splice and resumes the scan at p + 1.  A step of the
+    run whose right-hand side is not the swap (c, x) of its pair ends the
+    run: the steps before it are spliced, and it fires as any other.
+
+    Without trace (`normal_form`) the word holds no circle and gets none:
+    each hcII adds one to a count instead, which is returned when no
+    redex remains, and nothing is yielded.
     """
     if strategy not in STRATEGIES:
         raise DomainError(f"unknown strategy {strategy!r}, expected one of {STRATEGIES}")
     step = 1 if strategy == "leftmost" else -1
+    circles = 0  # the circles that hcII closes, without trace
     last = len(word) - 2  # position of the last pair, refreshed after each firing
     p = 0 if step == 1 else last
     while 0 <= p <= last:
-        tag = _classify(word[p], word[p + 1])
+        x, y = word[p], word[p + 1]
+        tag = _classify(x, y)
         if tag is None:
             p += step
-        else:
-            yield p, tag
-            last = len(word) - 2
+            continue
+        if not trace:
+            rhs = _rhs(x, y, tag)
+            if tag == "hcII":
+                circles += 1
+                rhs = rhs[1:]
+            word[p:p + 2] = rhs
             p -= step
-            if p < 0:
-                p = 0
-            elif p > last:
-                p = last
+        else:
+            q = p  # where the step fires; along an hcI run it moves left, unspliced
+            while True:
+                rhs = tuple(_rhs(x, y, tag))  # no copy: tuple() returns a tuple as it is
+                y_block = isinstance(y, Block)  # x is a block: no redex starts with a circle
+                swap = len(rhs) == 2 and rhs[0] is y and rhs[1] is x  # (y, x) itself
+                n1_drop = 0  # a swap keeps n1
+                if not swap:
+                    n1_drop = x.upper - x.lower + 2
+                    if y_block:
+                        n1_drop += y.upper - y.lower + 2
+                    for g in rhs:
+                        if isinstance(g, Block):
+                            n1_drop -= g.upper - g.lower + 2
+                if n1_drop <= 0 and (not swap and rhs != (y, x)
+                                     or y_block and (y.upper >= x.upper or y.lower >= x.lower)):
+                    before, after = measure_word((x, y)), measure_word(rhs)
+                    raise ConsistencyError(f"measure did not decrease for {tag} at {q}: "
+                                           f"pair {tuple(before)} -> {tuple(after)}")
+                yield _new(RewriteStep, (tag, q, (x, y), rhs))
+                if not swap or tag != "hcI" or step < 0:
+                    resume = q - step
+                    break
+                if q == 0 or not isinstance(word[q - 1], Block):
+                    resume = p + 1  # the circle has passed every block: no redex left of p + 1
+                    break
+                q -= 1
+                x = word[q]
+            # word[q:p + 2] still reads x y word[q + 1:p + 1]; the step at q made x y rhs
+            if q == p:
+                word[q:q + 2] = rhs
+            else:
+                word[q:p + 2] = (*rhs, *word[q + 1:p + 1])
+            p = resume
+        last = len(word) - 2
+        if p < 0:
+            p = 0
+        elif p > last:
+            p = last
+    return circles
 
 
 def rewrite_steps(t: Term, strategy: str = "leftmost") -> Stream[RewriteStep, None, JonesNF]:
     """Yield every rewrite step as it fires; return the Jones normal form.
 
     Circles stay in the word, so the stream has every hcI step of the
-    rewrite system.  Each step is checked to decrease the measure, from
-    the fired pair alone: n1 sums over blocks, so the pair's n1 change is
-    the word's; a step that keeps n1 must swap the pair, which keeps its
-    relations to the rest of the word, so the pair's n2 change is the
-    word's.  A step that fails the check raises ConsistencyError before
-    it is yielded.
-
-    The check reads the pair's indices directly.  n1 is the sum of
-    upper - lower + 2 over the blocks.  n2 of a two-generator word u v is
-    1 when u is a block followed by a circle or by a block that u
-    dominates in either index, else 0; of two blocks one always dominates
-    the other, so the swap x y -> y x lowers n2 exactly when y is a circle
-    or a block that dominates x in neither index.  That is `measure_word`
-    on words of length <= 2, which is called only to word the error.
+    rewrite system, and each step is checked to decrease the measure; a
+    step that fails the check raises ConsistencyError before it is
+    yielded (see `_reduce`).
     """
     word = list(t.word)
-    for p, tag in _reduce(word, strategy):
-        x, y = word[p], word[p + 1]  # x is a block: no redex starts with a circle
-        rhs = tuple(_rhs(x, y, tag))  # no copy: tuple() returns a tuple as it is
-        y_block = isinstance(y, Block)
-        n1_drop = x.upper - x.lower + 2
-        if y_block:
-            n1_drop += y.upper - y.lower + 2
-        for g in rhs:
-            if isinstance(g, Block):
-                n1_drop -= g.upper - g.lower + 2
-        if n1_drop <= 0 and (rhs != (y, x)
-                             or y_block and (y.upper >= x.upper or y.lower >= x.lower)):
-            before, after = measure_word((x, y)), measure_word(rhs)
-            raise ConsistencyError(
-                f"measure did not decrease for {tag} at {p}: pair {tuple(before)} -> {tuple(after)}")
-        word[p:p + 2] = rhs
-        yield RewriteStep(tag, p, (x, y), rhs)
+    yield from _reduce(word, strategy, True)
     return _pack(t.n, word)
 
 
@@ -223,16 +272,25 @@ def normal_form(t: Term, strategy: str = "leftmost") -> JonesNF:
     """
     word = [g for g in t.word if isinstance(g, Block)]
     circles = len(t.word) - len(word)
-    for p, tag in _reduce(word, strategy):
-        rhs = _rhs(word[p], word[p + 1], tag)
-        if tag == "hcII":
-            circles += 1
-            rhs = rhs[1:]
-        word[p:p + 2] = rhs
+    try:
+        next(_reduce(word, strategy))  # yields nothing without trace
+    except StopIteration as done:
+        circles += done.value
     return JonesNF(t.n, circles, tuple((g.upper, g.lower) for g in word))
 
 
 def format_step(step: RewriteStep) -> str:
-    """Line-oriented trace serialization: "rule@position: before => after"."""
-    return (f"{step.rule}@{step.position}: "
-            f"{format_word(step.before)} => {format_word(step.after)}")
+    """Line-oriented trace serialization: "rule@position: before => after".
+
+    A step whose sides are both two generators is joined from their texts
+    directly.  That is `format_word`'s text unless a side is two circles,
+    the one place "c c" can occur, which contracts to "c^2"; such a step,
+    and every other, goes through `format_word`.
+    """
+    rule, position, before, after = step
+    if len(before) == 2 and len(after) == 2:
+        text = (f"{rule}@{position}: {before[0].text} {before[1].text} => "
+                f"{after[0].text} {after[1].text}")
+        if "c c" not in text:
+            return text
+    return f"{rule}@{position}: {format_word(before)} => {format_word(after)}"

@@ -62,6 +62,8 @@ Two extraction procedures invert delta on normal forms:
 
 from __future__ import annotations
 
+from operator import ne
+
 # compose is unused here and delta_block only by the tests, but perfbench/tracing.py patches both.
 from .diagrams import Diagram, _threads, compose, slope_points, slope_points_of, span  # noqa: F401
 from .rewrite import ConsistencyError, normal_form
@@ -271,7 +273,10 @@ def peel(d: Diagram) -> Term:
     blocks h^[j,i], grouped in O(span/2).  `JonesNF` checks that their
     indices increase strictly, and a failure is a ConsistencyError.  A
     size below 2, or a size or span/2 over MAX_WORD_LENGTH, the bounds of
-    `delta`, is refused before the first step.
+    `delta`, is refused before the first step.  Last, the word is stacked
+    by `_rewire`, and its partner of every code and its circle count are
+    compared with the diagram's: no second `Diagram` is built, and a
+    sparse map answers for the untouched strands.
     """
     n = d.n
     _check_int(n, "monoid size", 2)
@@ -313,7 +318,11 @@ def peel(d: Diagram) -> Term:
         nf = JonesNF(n, d.circles, runs)
     except DomainError as e:
         raise ConsistencyError(f"peeled word is not a normal form: {e}") from None
+    del mate  # freed before the check stacks the peeled word
     peeled = nf_to_term(nf)
-    if delta(peeled) != d:
+    built, circles, _, _ = _rewire(peeled, MAX_WORD_LENGTH)
+    codes = range(-n, n + 1)
+    if circles != d.circles or any(map(ne, map(built.__getitem__, codes),
+                                       map(d.mates.__getitem__, codes))):
         raise ConsistencyError("peeled word does not evaluate to the diagram")
     return peeled

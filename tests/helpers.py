@@ -65,10 +65,12 @@ def expand(t: Term) -> Term:
     return Term(t.n, tuple(word))
 
 
-def find_redex(t: Term) -> tuple[int, str] | None:
-    """Position and rule of the leftmost redex, or None for a normal form."""
+def find_redex(t: Term, strategy: str = "leftmost") -> tuple[int, str] | None:
+    """Position and rule of the leftmost redex (the rightmost one for
+    strategy "rightmost"), or None for a normal form."""
     word = t.word
-    for p in range(len(word) - 1):
+    positions = range(len(word) - 1)
+    for p in positions if strategy == "leftmost" else reversed(positions):
         tag = _classify(word[p], word[p + 1])
         if tag is not None:
             return p, tag
@@ -235,6 +237,27 @@ def terms_st(draw, max_n: int = 6, max_len: int = 10, wide_blocks: bool = True):
 
 
 @st.composite
+def circle_runs_st(draw, max_n: int = 40):
+    """Words made of segments: a run of blocks, then a run of circles.
+
+    A run of blocks is random, or ascending as in a normal form, which a
+    circle after it crosses by hcI all the way; the circle runs put
+    circles between blocks and after them.
+    """
+    n = draw(st.integers(2, max_n))
+    block = generators_st(n).filter(lambda g: isinstance(g, Block))
+    word: list[Generator] = []
+    for _ in range(draw(st.integers(1, 4))):
+        if draw(st.booleans()):
+            seed = draw(st.integers(0, 2**32 - 1))
+            word.extend(nf_to_term(random_nf(random.Random(seed), n=n, max_circles=0)).word)
+        else:
+            word.extend(draw(st.lists(block, max_size=8)))
+        word.extend([CIRCLE] * draw(st.integers(0, 4)))
+    return Term(n, tuple(word))
+
+
+@st.composite
 def normal_forms_st(draw, max_n: int = 8, max_circles: int = 3):
     n = draw(st.integers(2, max_n))
     seed = draw(st.integers(0, 2**32 - 1))
@@ -378,17 +401,34 @@ def side_by_side(n: int) -> Diagram:
     return Diagram(n, tuple(cups) + tuple((-b, -a) for a, b in cups))
 
 
-def naive_leftmost_steps(t: Term):
-    """Reference reduction: rescan from the left after every firing."""
+def _naive_steps(t: Term, strategy: str):
+    """Reference reduction: rescan the whole word after every firing.
+
+    Returns the steps, each (rule, position, before, after) as in a
+    RewriteStep, and the final term.
+    """
     steps = []
     current = t
     while True:
-        redex = find_redex(current)
+        redex = find_redex(current, strategy)
         if redex is None:
             return steps, current
         position, rule = redex
-        steps.append((position, rule))
-        current = apply_rule(current, position, rule)
+        fired = apply_rule(current, position, rule)
+        width = len(fired.word) - len(current.word) + 2  # of the right-hand side
+        steps.append((rule, position, current.word[position:position + 2],
+                      fired.word[position:position + width]))
+        current = fired
+
+
+def naive_leftmost_steps(t: Term):
+    """Reference reduction: rescan from the left after every firing."""
+    return _naive_steps(t, "leftmost")
+
+
+def naive_rightmost_steps(t: Term):
+    """Reference reduction: rescan from the right after every firing."""
+    return _naive_steps(t, "rightmost")
 
 
 def replay(trace) -> list[Term]:

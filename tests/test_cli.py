@@ -286,6 +286,26 @@ def test_nf_trace_exit_3_keeps_every_chunk_before_the_failure(capsys, monkeypatc
     assert err.startswith("internal error: measure did not decrease for hcI at ")
 
 
+def test_nf_trace_exit_3_inside_a_circle_run_keeps_the_lines_before_the_failure(capsys,
+                                                                             monkeypatch):
+    """The circle crosses six blocks by hcI in one run; a rule that keeps
+    the pair at the run's third step is refused at that step, with the two
+    steps before it on stdout."""
+    code, full, _ = run(capsys, "nf", "-n", "7", "--trace", "h1 h2 h3 h4 h5 h6 c")
+    assert (code, full.splitlines()) == (
+        0, [f"hcI@{p}: h{p + 1} c => c h{p + 1}" for p in range(5, -1, -1)] + ["c h1 h2 h3 h4 h5 h6"])
+    rhs, calls = rewrite._rhs, []
+
+    def breaks_at_the_third(x, y, tag):
+        calls.append(tag)
+        return [x, y] if len(calls) == 3 else rhs(x, y, tag)
+
+    monkeypatch.setattr(rewrite, "_rhs", breaks_at_the_third)
+    code, out, err = run(capsys, "nf", "-n", "7", "--trace", "h1 h2 h3 h4 h5 h6 c")
+    assert (code, out) == (3, "".join(full.splitlines(keepends=True)[:2]))
+    assert err == "internal error: measure did not decrease for hcI at 3: pair (2, 1) -> (2, 1)\n"
+
+
 @pytest.mark.parametrize("argv", [("enum", "-n", "9", "--pairings"),
                                   ("nf", "-n", "201", "--trace", trailing_circles(200))])
 def test_a_closed_pipe_ends_quietly(argv):

@@ -4,6 +4,7 @@ from itertools import product
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kauffman import (
     CIRCLE,
@@ -25,7 +26,9 @@ from kauffman import (
 )
 from kauffman.rewrite import STRATEGIES
 
-from helpers import apply_rule, find_redex, is_jones_shape, naive_leftmost_steps, replay, terms_st
+import helpers
+from helpers import (apply_rule, circle_runs_st, find_redex, is_jones_shape, naive_leftmost_steps,
+                     naive_rightmost_steps, replay, terms_st)
 
 
 def all_blocks(n):
@@ -157,7 +160,7 @@ def test_normalize_on_huge_n_keeps_counts_sparse():
     finally:
         tracemalloc.stop()
     steps, final = naive_leftmost_steps(t)
-    assert [(s.position, s.rule) for s in trace.steps] == steps
+    assert list(trace.steps) == steps
     assert nf_to_term(trace.output) == final
     assert peak < 2_000_000, peak
 
@@ -271,9 +274,59 @@ def test_rewrite_steps_streams_the_trace_then_returns_the_normal_form(t):
 def test_cursor_scan_matches_naive_leftmost(t):
     steps, final = naive_leftmost_steps(t)
     trace = normalize(t)
-    assert [(s.position, s.rule) for s in trace.steps] == steps
-    from kauffman import nf_to_term
+    assert list(trace.steps) == steps
     assert final == nf_to_term(trace.output)
+
+
+def assert_streams_the_rescan(t, strategy, naive):
+    """`rewrite_steps` yields the steps of `naive`, rule, position, before and
+    after, one at a time, then returns its final word's normal form.
+    Returns those steps."""
+    steps, final = naive(t)
+    stream = rewrite_steps(t, strategy)
+    for expected in steps:
+        assert next(stream) == expected
+    with pytest.raises(StopIteration) as done:
+        next(stream)
+    assert nf_to_term(done.value.value) == final
+    return steps
+
+
+@settings(max_examples=200)
+@given(st.one_of(circle_runs_st(max_n=40), terms_st(max_n=40, max_len=30)))
+def test_both_scan_orders_match_a_full_rescan_step_by_step(t):
+    """Block runs with circles after them and between them: the leftmost
+    kernel moves each circle past its blocks in one run, and both orders
+    still fire exactly the redex that rescanning the whole word finds."""
+    assert_streams_the_rescan(t, "leftmost", naive_leftmost_steps)
+    assert_streams_the_rescan(t, "rightmost", naive_rightmost_steps)
+
+
+def empties_an_hcI(rhs, emptied_call):
+    """The rule table, but the `emptied_call`-th hcI step gets the right-hand side ()."""
+    calls = 0
+
+    def mutated_rhs(x, y, tag):
+        nonlocal calls
+        if tag == "hcI":
+            calls += 1
+            if calls == emptied_call:
+                return ()
+        return rhs(x, y, tag)
+
+    return mutated_rhs
+
+
+@pytest.mark.parametrize("emptied_call", [1, 3, 6, 8])
+def test_an_emptied_hcI_step_inside_a_run_fires_as_in_the_rescan(monkeypatch, emptied_call):
+    """() drops n1, so the check lets it through: the step ends the circle's
+    run where it stands, and the stream and the word are those of a full
+    rescan under the same rule."""
+    t = parse("h1 h2 h3 h4 h5 h6 c^2 h2 h4 c", 7)
+    monkeypatch.setattr(helpers, "_rhs", empties_an_hcI(rewrite._rhs, emptied_call))
+    monkeypatch.setattr(rewrite, "_rhs", empties_an_hcI(rewrite._rhs, emptied_call))
+    steps = assert_streams_the_rescan(t, "leftmost", naive_leftmost_steps)
+    assert [rule for rule, _, _, after in steps if after == ()] == ["hcI"]
 
 
 @settings(max_examples=150)
