@@ -7,12 +7,12 @@ point (i, 0) as -i, so a diagram is a perfect matching on
 {-n..-1, 1..n} together with a circle count.  A matching is planar iff
 the closed integer intervals spanned by its pairs are pairwise disjoint
 or nested, equivalently iff the matching reads as a balanced bracket
-sequence in code order -n .. -1, 1 .. n.  `Diagram` validates by that
-one walk in code order over the code -> partner map `mates`, a flat
-sequence of 2n + 1 slots: code c at index c, so bottom code -c lands at
-index 2n + 1 - c by negative indexing.  Every reader indexes that one
-layout.  The walk also yields the pairs in canonical order (sorted, min
-code first).
+sequence in code order -n .. -1, 1 .. n.  A `Diagram` stores n, its
+circle count and one code -> partner map `mates`, 2n + 1 slots: code c
+at index c, so bottom code -c lands at index 2n + 1 - c by negative
+indexing.  Every reader indexes that layout; `pairs` is derived from it.
+`Diagram(n, pairs, circles)` fills the slots from pairs, the builders
+hand their own map to `_build`, and both end in one walk over `mates`.
 
 Because two diagrams are equal as equivalence classes exactly when their
 pairings and circle counts agree, equality of `Diagram` values is plain
@@ -27,7 +27,7 @@ position.  The *span* of a thread is the distance between its positions.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import chain
 
 from .syntax import MAX_WORD_LENGTH
@@ -43,21 +43,21 @@ def is_planar_pairing(pairs, n: int) -> bool:
     return True
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False, repr=False)
 class Diagram:
     """A planar pairing of the 2n boundary codes plus a circle count."""
 
     n: int
-    pairs: tuple[tuple[int, int], ...]
-    circles: int = 0
-    mates: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    mates: tuple[int, ...]
+    circles: int
 
-    def __post_init__(self) -> None:
-        n, pairs = self.n, self.pairs
+    def __init__(self, n: int, pairs, circles: int = 0) -> None:
         try:
-            ends = [end for a, b in pairs for end in (a, b)]
+            ends = [*chain.from_iterable(pairs)]
+            if not {2}.issuperset(map(len, pairs)):
+                raise TypeError
             # type() rather than isinstance(): bool is an int subclass and is refused too
-            integral = {type(n), type(self.circles), *map(type, ends)} == {int}
+            integral = {type(n), type(circles), *map(type, ends)} == {int}
             if not integral:
                 hash(tuple(ends))  # an unhashable code is refused as no code at all
         except (TypeError, ValueError):  # an item that is not two hashable codes
@@ -66,8 +66,8 @@ class Diagram:
             raise DomainError("diagram size, circle count and codes must be integers")
         if n < 1:
             raise DomainError(f"diagram size must be >= 1, got {n}")
-        if self.circles < 0:
-            raise DomainError(f"circle count must be >= 0, got {self.circles}")
+        if circles < 0:
+            raise DomainError(f"circle count must be >= 0, got {circles}")
         # n pairs over 2n distinct nonzero codes in -n..n cover each code once; the range
         # is checked before any slot is indexed, since a code past n aliases a bottom slot
         cover = f"pairs must match each of the codes -{n}..-1, 1..{n} exactly once"
@@ -78,17 +78,36 @@ class Diagram:
             mates[a], mates[b] = b, a
         if mates.count(0) != 1:  # a code given twice leaves another code's slot empty
             raise DomainError(cover)
-        stack: list[int] = []
-        canon: list[tuple[int, int]] = []
+        _build(n, mates, circles, self)
+
+    def __post_init__(self) -> None:
+        """The one bracket walk in code order; a closing code's partner must point back to it."""
+        n, mates = self.n, self.mates
+        stack: list = [None]  # a floor no partner equals: closing with nothing open is refused
         for code in chain(range(-n, 0), range(1, n + 1)):
             mate = mates[code]
             if mate > code:
                 stack.append(code)
-                canon.append((code, mate))
-            elif stack.pop() != mate:  # mate was pushed: the stack is not empty
+            elif stack.pop() != mate or mates[mate] != code:
                 raise DomainError("pairing has crossing threads")
-        object.__setattr__(self, "pairs", tuple(canon))
-        object.__setattr__(self, "mates", tuple(mates))
+        if len(stack) > 1:
+            raise DomainError("partner map is not a pairing")
+
+    @property
+    def pairs(self) -> tuple[tuple[int, int], ...]:
+        """The threads as (code, partner) pairs, smaller code first, in code order."""
+        return tuple((c, m) for c, m in _threads(self.n, self.mates) if c < m)
+
+    def __repr__(self) -> str:
+        return f"Diagram(n={self.n!r}, pairs={self.pairs!r}, circles={self.circles!r})"
+
+
+def _build(n: int, mates, circles: int, d: Diagram | None = None) -> Diagram:
+    """The one construction step: store the flat partner map and walk it once."""
+    d = object.__new__(Diagram) if d is None else d
+    d.__dict__.update(n=n, mates=tuple(mates), circles=circles)  # frozen: set past __setattr__
+    d.__post_init__()
+    return d
 
 
 def compose(bottom: Diagram, top: Diagram) -> Diagram:
@@ -106,7 +125,6 @@ def compose(bottom: Diagram, top: Diagram) -> Diagram:
     up, low = top.mates, bottom.mates
     crossed = bytearray(n + 1)  # interface points some walk has passed
     mates = [0] * (2 * n + 1)   # the result's: a filled slot is a free end some walk reached
-    pairs: list[tuple[int, int]] = []
     for start in chain(range(1, n + 1), range(-1, -n - 1, -1)):
         if mates[start]:
             continue
@@ -116,7 +134,6 @@ def compose(bottom: Diagram, top: Diagram) -> Diagram:
             crossed[abs(code)] = 1
             code, in_top = -code, not in_top
         mates[start], mates[code] = code, start
-        pairs.append((start, code))
 
     loops = 0
     for start in range(1, n + 1):
@@ -128,19 +145,19 @@ def compose(bottom: Diagram, top: Diagram) -> Diagram:
             j = -up[-m]  # cap of `top` joins interface m to interface j
             crossed[m] = crossed[j] = 1
             m = low[j]   # cup of `bottom` continues from j
-    return Diagram(n, tuple(pairs), bottom.circles + top.circles + loops)
+    return _build(n, mates, bottom.circles + top.circles + loops)
 
 
 def span(d: Diagram) -> int:
     """Sum over threads of the distance between their endpoint positions."""
-    return sum(abs(abs(a) - abs(b)) for a, b in d.pairs)
+    return sum(abs(abs(c) - abs(m)) for c, m in _threads(d.n, d.mates)) // 2  # each thread twice
 
 
 def _threads(n: int, mates):
-    """(code, partner) items of a partner map: every code of a flat one, the entries of a dict."""
+    """(code, partner) items of a partner map: a flat one's in code order, a dict's entries."""
     if isinstance(mates, dict):
         return mates.items()
-    return chain(zip(range(1, n + 1), mates[1:n + 1]), zip(range(-n, 0), mates[n + 1:]))
+    return chain(zip(range(-n, 0), mates[n + 1:]), zip(range(1, n + 1), mates[1:n + 1]))
 
 
 def slope_points(d: Diagram) -> tuple[tuple[int, ...], tuple[int, ...]]:
@@ -191,4 +208,4 @@ def from_json_dict(obj) -> Diagram:
     circles = obj["circles"]
     if isinstance(circles, int) and circles > MAX_WORD_LENGTH:
         raise DomainError(f"diagram JSON: more than {MAX_WORD_LENGTH} circles")
-    return Diagram(obj["n"], tuple(tuple(p) for p in pairs), circles)
+    return Diagram(obj["n"], pairs, circles)

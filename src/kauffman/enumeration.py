@@ -19,7 +19,7 @@ from itertools import product
 from typing import Iterator
 
 # is_planar_pairing is unused here, but perfbench/tracing.py patches this name.
-from .diagrams import Diagram, is_planar_pairing  # noqa: F401
+from .diagrams import Diagram, _build, is_planar_pairing  # noqa: F401
 from .terms import CIRCLE, Block, DomainError, JonesNF, Term, _check_int
 
 OPEN, CLOSE = "(", ")"
@@ -41,22 +41,21 @@ def _catalan(n: int) -> int:
     return c
 
 
-def _pair_lists(codes: tuple[int, ...], lo: int,
-                hi: int) -> Iterator[tuple[tuple[int, int], ...]]:
-    """Planar pairings of codes[lo:hi] as canonical pair lists, in sorted order.
+def _fills(mates: list[int], codes: tuple[int, ...], lo: int, hi: int) -> Iterator[None]:
+    """Pair codes[lo:hi] in `mates` each planar way in turn, yielding after each.
 
     codes[lo] pairs with some codes[k] (k - lo odd); the pairs inside it and
     the pairs after it follow in code order.  Taking k ascending, then the
-    inside's lists in order, then the outside's gives the lists sorted.
+    inside's ways in order, then the outside's gives the pair lists sorted.
     """
     if lo == hi:
-        yield ()
+        yield
         return
     for k in range(lo + 1, hi, 2):
-        first = ((codes[lo], codes[k]),)
-        for inside in _pair_lists(codes, lo + 1, k):
-            for outside in _pair_lists(codes, k + 1, hi):
-                yield first + inside + outside
+        a, b = codes[lo], codes[k]
+        mates[a], mates[b] = b, a
+        for _ in _fills(mates, codes, lo + 1, k):
+            yield from _fills(mates, codes, k + 1, hi)
 
 
 class Pairings:
@@ -75,8 +74,8 @@ class Pairings:
 
     def __iter__(self) -> Iterator[Diagram]:
         n = self.n
-        codes = (*range(-n, 0), *range(1, n + 1))
-        return (Diagram(n, pairs) for pairs in _pair_lists(codes, 0, 2 * n))
+        mates, codes = [0] * (2 * n + 1), (*range(-n, 0), *range(1, n + 1))
+        return (_build(n, mates, 0) for _ in _fills(mates, codes, 0, 2 * n))
 
 
 def count_pairings(n: int) -> int:
@@ -115,19 +114,20 @@ def parenword_to_pairing(word: str, n: int) -> Diagram:
         raise DomainError(f"expected {2 * n} symbols, got {len(word)}")
     codes = (*range(-n, 0), *range(1, n + 1))
     stack: list[int] = []
-    pairs: list[tuple[int, int]] = []
+    mates = [0] * (2 * n + 1)
     for code, symbol in zip(codes, word):
         if symbol == OPEN:
             stack.append(code)
         elif symbol == CLOSE:
             if not stack:
                 raise DomainError("unbalanced parenthetical word")
-            pairs.append((stack.pop(), code))
+            mates[code] = opener = stack.pop()
+            mates[opener] = code
         else:
             raise DomainError(f"not a parenthesis: {symbol!r}")
     if stack:
         raise DomainError("unbalanced parenthetical word")
-    return Diagram(n, tuple(pairs))
+    return _build(n, mates, 0)
 
 
 def enumerate_terms(n: int, max_len: int) -> Iterator[Term]:

@@ -65,7 +65,7 @@ from __future__ import annotations
 from operator import ne
 
 # compose is unused here and delta_block only by the tests, but perfbench/tracing.py patches both.
-from .diagrams import Diagram, _threads, compose, slope_points, slope_points_of, span  # noqa: F401
+from .diagrams import Diagram, _build, compose, slope_points, slope_points_of, span  # noqa: F401
 from .rewrite import ConsistencyError, normal_form
 from .syntax import MAX_WORD_LENGTH
 from .terms import Block, DomainError, JonesNF, Term, _check_int, nf_to_term
@@ -115,12 +115,14 @@ def _rewire(t: Term, limit: int) -> tuple[list[int] | _Mates, int, int, int]:
     the expanded length, sum(b - a + 1), as it goes: a block that would
     take it past `limit` is refused with DomainError before any of it is
     stacked.  The map is a flat list in `diagrams`' layout when n is at
-    most the number of factors.  Otherwise it is a `_Mates` map of the
-    touched codes, so memory stays O(number of factors) whatever n is.
+    most the number of factors or 2·min(E, limit), E the expanded length
+    (at four codes a diapsis, the word can touch all 2n slots); else a
+    `_Mates` map of the touched codes, O(min(n, E)) whatever n is.
     """
     n, word = t.n, t.word
-    if n <= len(word):
-        mate = [0, *range(-1, -n - 1, -1), *range(n, 0, -1)]
+    if n <= len(word) or n <= 2 * min(
+            sum(g.upper - g.lower + 1 for g in word if isinstance(g, Block)), limit):
+        mate = [0, *range(-1, -n - 1, -1), *range(n, 0, -1)]  # the identity
     else:
         mate = _Mates()
     circles = closed = expanded = 0  # circle factors, circles the stacking closes, diapsides
@@ -153,19 +155,20 @@ def _read_nf(n: int, mate: list[int] | _Mates, circles: int) -> JonesNF:
 def delta(t: Term) -> Diagram:
     """The diagram of the word, first factor at the bottom.
 
-    `_rewire`'s threads, plus the untouched verticals that a sparse map
-    leaves out, built into one validated `Diagram`: O(n) on top of the
-    pass.  A size over MAX_WORD_LENGTH is refused before the 2n codes
-    are built.
+    `_rewire`'s flat partner map, a sparse one's codes first copied onto
+    the identity's, validated by `Diagram`'s one walk: O(n) on top of the
+    pass.  A size over MAX_WORD_LENGTH is refused before a sparse map is
+    spread over 2n slots.
     """
     n = t.n
     mate, circles, _, _ = _rewire(t, MAX_WORD_LENGTH)
     if n > MAX_WORD_LENGTH:
         raise DomainError(f"diagram size {n} exceeds {MAX_WORD_LENGTH}")
-    pairs = [(c, m) for c, m in _threads(n, mate) if c < m]
-    if len(pairs) < n:  # a sparse map: add the verticals it leaves out
-        pairs.extend((-i, i) for i in range(1, n + 1) if i not in mate)
-    return Diagram(n, tuple(pairs), circles)
+    if isinstance(mate, _Mates):
+        mate, touched = [0, *range(-1, -n - 1, -1), *range(n, 0, -1)], mate
+        for code, partner in touched.items():
+            mate[code] = partner
+    return _build(n, mate, circles)
 
 
 def nf_by_diagram(t: Term) -> JonesNF:

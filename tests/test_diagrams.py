@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import random
 import tracemalloc
@@ -8,19 +9,22 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kauffman import (
+    Block,
     Diagram,
     DomainError,
+    Term,
     compose,
     delta,
     enumerate_pairings,
     from_json_dict,
     parenword_to_pairing,
     parse,
+    peel,
     slope_points,
     span,
     to_json_dict,
 )
-from kauffman.diagrams import is_planar_pairing
+from kauffman.diagrams import _build, is_planar_pairing
 from kauffman.semantics import delta_block
 
 from helpers import (compose_oracle, covers, diapsis_diagram, identity, is_exact_cover,
@@ -348,3 +352,57 @@ def test_compose_preserves_planarity_closure():
     for a, b in product(pool[:7], pool[:7]):
         composite = compose(a, b)
         assert is_planar_pairing(composite.pairs, 4)
+
+
+def test_diagram_stores_one_partner_map():
+    assert [f.name for f in dataclasses.fields(Diagram)] == ["n", "mates", "circles"]
+    d = Diagram(2, ((1, 2), (-1, -2)), 3)
+    assert vars(d) == {"n": 2, "mates": (0, 2, 1, -1, -2), "circles": 3}
+    assert repr(d) == "Diagram(n=2, pairs=((-2, -1), (1, 2)), circles=3)"
+
+
+def _slots(n: int, partner: dict) -> list:
+    """The flat layout of a code -> partner dict: code c at index c, -c at 2n + 1 - c."""
+    return [0, *(partner[c] for c in range(1, n + 1)), *(partner[c] for c in range(-n, 0))]
+
+
+def test_private_entry_accepts_exactly_the_planar_pairings():
+    # each of these passes a walk that only checks the brackets: -2 -> 1 closes at 1 with
+    # -1 on top, which 1 names; the second map leaves -3 and -2 open at the end
+    for n, partner in [(2, {-2: 1, -1: 2, 1: -1, 2: -2}),
+                       (3, {-3: -2, -2: -1, -1: 3, 1: 2, 2: 1, 3: -1})]:
+        with pytest.raises(DomainError):
+            _build(n, _slots(n, partner), 0)
+    # every map of the 2n codes into -n..-1, 1..n: the walk raises DomainError and nothing
+    # else on all but the Catalan(n) planar pairings, and builds each of those as the
+    # public constructor does
+    for n in (1, 2, 3):
+        codes = [*range(-n, 0), *range(1, n + 1)]
+        accepted = []
+        for values in product(codes, repeat=2 * n):
+            partner = dict(zip(codes, values))
+            try:
+                d = _build(n, _slots(n, partner), 1)
+            except DomainError:
+                continue
+            accepted.append(d)
+            assert d == Diagram(n, tuple((c, m) for c, m in partner.items() if c < m), 1)
+        assert sorted(d.pairs for d in accepted) == [d.pairs for d in enumerate_pairings(n)]
+
+
+def test_builders_match_the_public_constructor():
+    # compose (on every pairing with n <= 6, either side of every diapsis) and delta (of the
+    # pairing's word times the diapsis) hand over their flat map; each result equals the
+    # public constructor's on its pairs, hash included
+    for n in range(2, 7):
+        for d in enumerate_pairings(n):
+            word = peel(d).word
+            for i in range(1, n):
+                h = delta_block(n, i, i)
+                built = [compose(d, h), compose(h, d),
+                         delta(Term(n, word + (Block(i, i),))),
+                         delta(Term(n, (Block(i, i),) + word))]
+                assert built[0] == built[2] and built[1] == built[3]
+                for b in built:
+                    again = Diagram(n, b.pairs, b.circles)
+                    assert b == again and hash(b) == hash(again), (d, i)

@@ -39,7 +39,7 @@ from kauffman.semantics import DIAGRAM_ROUTE_WIDTH, _first_crossed, _rewire, _st
 from kauffman.syntax import MAX_WORD_LENGTH
 
 from helpers import (compose_fold, diapsis_diagram, expand, identity, normal_forms_st,
-                     nested, peel_states, terms_st)
+                     nested, peel_states, side_by_side, terms_st)
 
 WORKED_EXAMPLE = "c^6 h[3,1] h[4,4] h[7,7] h[9,8] h[10,9]"
 
@@ -283,8 +283,10 @@ def test_decide_nf_rewrites_exactly_the_words_over_the_route_bound(t, max_length
 @settings(max_examples=300)
 @given(terms_st(max_n=12, max_len=30))
 def test_flat_list_and_sparse_map_agree(t):
-    """The same word at a size over its factor count is rewired on the sparse map."""
-    wide = Term(t.n + len(t.word) + 1, t.word)
+    """The same word at a size over its factor count and twice its expanded length is rewired
+    on the sparse map."""
+    expanded = sum(g.upper - g.lower + 1 for g in t.word if isinstance(g, Block))
+    wide = Term(t.n + max(len(t.word), 2 * expanded) + 1, t.word)
     assert type(semantics._rewire(wide, MAX_WORD_LENGTH)[0]) is semantics._Mates
     nf, wide_nf = nf_by_diagram(t), nf_by_diagram(wide)
     assert (nf.circles, nf.blocks) == (wide_nf.circles, wide_nf.blocks)
@@ -425,6 +427,42 @@ def test_diagram_and_peel_hold_one_flat_partner_map():
         tracemalloc.stop()
     assert held < 15 * 2**20
     assert peak < 4 * 2**20, peak
+
+
+def _traced(f, *args):
+    """f(*args), with the memory its result holds and the peak of the call, in bytes."""
+    tracemalloc.start()
+    try:
+        result = f(*args)
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return result, held, peak
+
+
+def test_delta_and_compose_hold_only_the_flat_partner_map():
+    # the Diagram keeps 2n + 1 slots and no pairs tuple: at n = 10**5 about 1.6 MB of slots
+    # plus the int objects of the codes; a pairs tuple beside them held 16.9 and 13.8 MiB
+    d, held, _ = _traced(delta, parse("h1", 10**5))
+    assert held < 10 * 2**20, held
+    assert d.pairs[:2] == ((-100000, 100000), (-99999, 99999))
+    composite, held, _ = _traced(compose, d, d)
+    assert held < 7 * 2**20, held
+    assert composite == Diagram(d.n, d.pairs, 1)
+    obj = to_json_dict(d)
+    rebuilt, held, _ = _traced(from_json_dict, obj)
+    assert held < 4 * 2**20, held  # the slots only: the codes are the JSON object's ints
+    assert rebuilt == d
+
+
+def test_peel_check_of_side_by_side_cups_stacks_onto_a_flat_list():
+    # the peeled word touches every code, so its closing check rewires a flat list, not a dict
+    # of all 2n codes: at n = 10**5 the dict took the peak to 33.8 MiB
+    d = side_by_side(10**5)
+    peeled, _, peak = _traced(peel, d)
+    assert peak < 27 * 2**20, peak
+    assert type(_rewire(peeled, MAX_WORD_LENGTH)[0]) is list
+    assert diagram_to_nf(d) == normal_form(peeled)
 
 
 def test_peel_bound_admits_exactly_the_bound(monkeypatch):
