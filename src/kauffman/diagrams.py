@@ -185,8 +185,9 @@ def slope_points_of(n: int, mates) -> tuple[tuple[int, ...], tuple[int, ...]]:
 
 
 def to_json_dict(d: Diagram) -> dict:
-    """Stable interchange form: pairs sorted by min code, min first."""
-    return {"n": d.n, "pairs": [list(p) for p in d.pairs], "circles": d.circles}
+    """Stable interchange form: pairs sorted by min code, min first, read off `mates`."""
+    pairs = [[c, m] for c, m in _threads(d.n, d.mates) if c < m]
+    return {"n": d.n, "pairs": pairs, "circles": d.circles}
 
 
 def from_json_dict(obj) -> Diagram:

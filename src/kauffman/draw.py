@@ -31,14 +31,10 @@ def canvas_height(n: int) -> int:
 
 
 def _split(d: Diagram):
-    cups, caps, trans = [], [], []
-    for lo, hi in d.pairs:
-        if lo > 0:
-            cups.append((lo, hi))
-        elif hi < 0:
-            caps.append((-hi, -lo))
-        else:
-            trans.append((hi, -lo))  # (top position, bottom position)
+    n, mates = d.n, d.mates
+    cups = [(c, m) for c, m in zip(range(1, n + 1), mates[1:n + 1]) if c < m]
+    caps = [(-m, -c) for c, m in zip(range(-n, 0), mates[n + 1:]) if c < m < 0]
+    trans = [(m, -c) for c, m in zip(range(-n, 0), mates[n + 1:]) if m > 0]  # (top, bottom)
     return cups, caps, trans
 
 

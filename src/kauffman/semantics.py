@@ -111,17 +111,20 @@ def _rewire(t: Term, limit: int) -> tuple[list[int] | _Mates, int, int, int]:
 
     One pass over the word, first factor at the bottom.  A circle adds one
     to the count; a block h^[b,a] stacks H^b, H^(b-1), ..., H^a by one
-    `_stack` call each, a diapsis with no range built.  The pass counts
-    the expanded length, sum(b - a + 1), as it goes: a block that would
-    take it past `limit` is refused with DomainError before any of it is
-    stacked.  The map is a flat list in `diagrams`' layout when n is at
-    most the number of factors or 2·min(E, limit), E the expanded length
-    (at four codes a diapsis, the word can touch all 2n slots); else a
+    `_stack` call each, a diapsis with no range built.  The expanded
+    length E = sum(b - a + 1) may not pass `limit` (DomainError): a word
+    of fewer factors than n has E summed first and is refused before any
+    stacking, else the pass refuses the block that would take its count
+    past `limit` before stacking any of it.  The map is a flat list in
+    `diagrams`' layout when n is at most the number of factors or 2E (at
+    four codes a diapsis, the word can touch all 2n slots); else a
     `_Mates` map of the touched codes, O(min(n, E)) whatever n is.
     """
     n, word = t.n, t.word
-    if n <= len(word) or n <= 2 * min(
-            sum(g.upper - g.lower + 1 for g in word if isinstance(g, Block)), limit):
+    summed = n > len(word) and sum(g.upper - g.lower + 1 for g in word if isinstance(g, Block))
+    if summed > limit:  # summed is False, so 0, when n is at most the number of factors
+        raise DomainError(f"expanded word longer than {limit} diapsides")
+    if n <= max(len(word), 2 * summed):
         mate = [0, *range(-1, -n - 1, -1), *range(n, 0, -1)]  # the identity
     else:
         mate = _Mates()
@@ -157,13 +160,13 @@ def delta(t: Term) -> Diagram:
 
     `_rewire`'s flat partner map, a sparse one's codes first copied onto
     the identity's, validated by `Diagram`'s one walk: O(n) on top of the
-    pass.  A size over MAX_WORD_LENGTH is refused before a sparse map is
-    spread over 2n slots.
+    pass.  A size over MAX_WORD_LENGTH is refused before the pass, so a
+    word over both bounds gets the size message.
     """
     n = t.n
-    mate, circles, _, _ = _rewire(t, MAX_WORD_LENGTH)
     if n > MAX_WORD_LENGTH:
         raise DomainError(f"diagram size {n} exceeds {MAX_WORD_LENGTH}")
+    mate, circles, _, _ = _rewire(t, MAX_WORD_LENGTH)
     if isinstance(mate, _Mates):
         mate, touched = [0, *range(-1, -n - 1, -1), *range(n, 0, -1)], mate
         for code, partner in touched.items():

@@ -51,12 +51,13 @@ _tally = {"diagrams": 0}
 
 
 def _remark_invariants(d) -> None:
-    cups = [p for p in d.pairs if p[0] > 0]
-    caps = [p for p in d.pairs if p[1] < 0]
+    pairs = d.pairs  # derived on each access: read once
+    cups = [p for p in pairs if p[0] > 0]
+    caps = [p for p in pairs if p[1] < 0]
     assert len(cups) == len(caps), "cups != caps"
     assert span(d) % 2 == 0, "odd span"
     for m in range(1, d.n):
-        assert sum(covers(p, m) for p in d.pairs) % 2 == 0, f"odd covering at {m}"
+        assert sum(covers(p, m) for p in pairs) % 2 == 0, f"odd covering at {m}"
     if cups:
         assert any(hi - lo == 1 for lo, hi in cups), "no span-1 cup"
         assert any(-lo + hi == 1 for lo, hi in caps), "no span-1 cap"

@@ -36,7 +36,7 @@ from kauffman import (
 )
 from kauffman import cli
 from kauffman.cli import EXIT_CLOSED_PIPE, TRACE_CHUNK, main
-from kauffman.draw import render_ascii
+from kauffman.draw import _split, render_ascii
 from kauffman.selftest import random_term
 
 from helpers import nested, side_by_side, staircase
@@ -99,8 +99,8 @@ def test_nf_and_eq_stay_sparse_in_n(capsys, monkeypatch):
             run(capsys, "nf", "-n", n, "h1 c h999999999"),
             run(capsys, "eq", "-n", n, "h1 h2 h1 c h999999999", "c h999999999 h1"),
             run(capsys, "eq", "-n", n, "h1 h2 h1", "h2 h1 h2", "--cross-check"),
-            # the diagram side refuses the block that takes the expanded length over
-            # MAX_WORD_LENGTH before stacking any of it
+            # the diagram side refuses an expanded length over MAX_WORD_LENGTH before stacking
+            # any of it, and `delta` a size over it before its pass: the size message comes first
             run(capsys, "eq", "-n", n, wide, "h1", "--cross-check"),
             run(capsys, "diagram", "-n", n, wide),
         ]
@@ -119,7 +119,9 @@ def test_nf_and_eq_stay_sparse_in_n(capsys, monkeypatch):
     assert [(code, out) for code, out, _ in results] == [
         (0, "c h1 h999999999\n"), (0, "equal\n"), (1, "not-equal\n"), (2, ""), (2, ""),
         (0, "c h[999999997,1] h[999999999,3]\n"), (0, "equal\n"), (1, "not-equal\n")]
-    assert all("longer than" in err for code, _, err in results if code == 2)
+    assert [err for code, _, err in results if code == 2] == [
+        "error: expanded word longer than 1000000 diapsides\n",
+        "error: diagram size 1000000000 exceeds 1000000\n"]
     assert peak < 2_000_000, peak
     # 16 diapsides per block, within the route's width but over MAX_WORD_LENGTH in all:
     # a Jones normal form that the rewriting answers unchanged
@@ -348,6 +350,40 @@ def test_diagram_size_bound_admits_exactly_the_bound(capsys, monkeypatch):
     code, out, err = run(capsys, "diagram", "-n", "11", "h1")
     assert (code, out) == (2, "")
     assert "exceeds 10" in err
+
+
+def _split_of_pairs(d):
+    """Cups, caps and transversals as the drawing reads them, taken from `pairs`."""
+    cups = [(lo, hi) for lo, hi in d.pairs if lo > 0]
+    caps = [(-hi, -lo) for lo, hi in d.pairs if hi < 0]
+    return cups, caps, [(hi, -lo) for lo, hi in d.pairs if lo < 0 < hi]
+
+
+def test_outputs_index_the_partner_map_and_never_derive_pairs(capsys, monkeypatch):
+    # the JSON and the drawings read `mates`; `pairs` is the callers' view of the same threads
+    texts = [("h1", 3), ("c h2 h1 h3", 5), (WORKED_EXAMPLE, 11), ("c^3", 2)]
+    diagrams = [delta(parse(text, n)) for text, n in texts] + list(enumerate_pairings(5))
+    for d in diagrams:
+        assert to_json_dict(d)["pairs"] == [list(p) for p in d.pairs]
+        assert _split(d) == _split_of_pairs(d)
+    formats = [(f, labels) for f in ("svg", "ascii") for labels in (False, True)]
+    argvs = [["diagram", "-n", str(n), text] for text, n in texts] + [
+        ["render", "-n", str(n), text, "--format", f] + ["--labels"] * labels
+        for text, n in texts for f, labels in formats]
+
+    def outputs():
+        library = [(to_json_dict(d), [render(d, f, show_labels=labels) for f, labels in formats])
+                   for d in diagrams]
+        return library, [run(capsys, *argv) for argv in argvs]
+
+    expected = outputs()
+
+    def refuse(d):
+        raise AssertionError("an output derived Diagram.pairs")
+
+    monkeypatch.setattr(Diagram, "pairs", property(refuse))
+    assert outputs() == expected
+    assert all(code == 0 for code, _, _ in expected[1])
 
 
 def _term_of_both(capsys, monkeypatch, blob):

@@ -35,6 +35,7 @@ from kauffman import (
 )
 from kauffman import semantics
 from kauffman.diagrams import is_planar_pairing
+from kauffman.draw import _split
 from kauffman.semantics import DIAGRAM_ROUTE_WIDTH, _first_crossed, _rewire, _stack, delta_block
 from kauffman.syntax import MAX_WORD_LENGTH
 
@@ -250,6 +251,14 @@ def _wide_words(draw):
     return Term(n, tuple(draw(st.lists(st.one_of(st.just(CIRCLE), block), max_size=8))))
 
 
+def _counting_stack(stacked):
+    """`_stack`, appending each index it stacks to `stacked`."""
+    def counting_stack(mate, i):
+        stacked.append(i)
+        return _stack(mate, i)
+    return counting_stack
+
+
 @settings(max_examples=300)
 @given(_wide_words(), st.sampled_from([MAX_WORD_LENGTH, 40, 100]))
 def test_decide_nf_rewrites_exactly_the_words_over_the_route_bound(t, max_length):
@@ -260,17 +269,13 @@ def test_decide_nf_rewrites_exactly_the_words_over_the_route_bound(t, max_length
     expanded = sum(g.upper - g.lower + 1 for g in blocks)
     stacked, rewritten = [], []
 
-    def counting_stack(mate, i):
-        stacked.append(i)
-        return _stack(mate, i)
-
     def rewrite(term):
         rewritten.append(term)
         return normal_form(term)
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(semantics, "MAX_WORD_LENGTH", max_length)
-        patch.setattr(semantics, "_stack", counting_stack)
+        patch.setattr(semantics, "_stack", _counting_stack(stacked))
         patch.setattr(semantics, "normal_form", rewrite)
         nf = decide_nf(t)
     assert nf == normal_form(t)
@@ -449,10 +454,40 @@ def test_delta_and_compose_hold_only_the_flat_partner_map():
     composite, held, _ = _traced(compose, d, d)
     assert held < 7 * 2**20, held
     assert composite == Diagram(d.n, d.pairs, 1)
-    obj = to_json_dict(d)
+    # the outputs list their threads straight off the map, with no pairs tuple alive beside
+    # them: 16.8 MiB for the JSON pairs and 18.2 MiB for the drawing's split when they read it
+    obj, _, peak = _traced(to_json_dict, d)
+    assert peak < 14 * 2**20, peak
+    (cups, caps, trans), _, peak = _traced(_split, d)
+    assert peak < 13 * 2**20, peak
+    assert (cups, caps, len(trans)) == ([(1, 2)], [(1, 2)], 10**5 - 2)
     rebuilt, held, _ = _traced(from_json_dict, obj)
     assert held < 4 * 2**20, held  # the slots only: the codes are the JSON object's ints
     assert rebuilt == d
+
+
+def test_rewire_refuses_a_word_over_the_limit_on_its_summed_widths_before_stacking(monkeypatch):
+    # n exceeds the factor count, so the widths are summed to choose the layout; a sum over the
+    # limit is refused there, where the pass stacked the first block's 30 diapsides first
+    stacked = []
+    monkeypatch.setattr(semantics, "_stack", _counting_stack(stacked))
+    with pytest.raises(DomainError, match="expanded word longer than 40 diapsides"):
+        _rewire(Term(1000, (Block(30, 1),) * 2), 40)
+    assert stacked == []
+    _rewire(Term(1000, (Block(20, 1),) * 2), 40)  # exactly the limit is stacked
+    assert len(stacked) == 40
+
+
+def test_delta_refuses_an_over_size_diagram_before_its_pass(monkeypatch):
+    stacked = []
+    monkeypatch.setattr(semantics, "_stack", _counting_stack(stacked))
+    monkeypatch.setattr(semantics, "MAX_WORD_LENGTH", 5)
+    for word in [(Block(1, 1),) * 4, (Block(5, 1),) * 2]:  # the second passes both bounds
+        with pytest.raises(DomainError, match="diagram size 6 exceeds 5"):
+            delta(Term(6, word))
+    assert stacked == []
+    assert delta(Term(5, (Block(1, 1),) * 4)).circles == 3  # the size bound itself is admitted
+    assert stacked == [1] * 4
 
 
 def test_peel_check_of_side_by_side_cups_stacks_onto_a_flat_list():
