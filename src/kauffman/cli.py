@@ -11,13 +11,12 @@ to TRACE_CHUNK lines per write, so neither holds its whole output in
 memory; a failure partway leaves the lines of everything before it on
 stdout.
 
-Each call builds its own argparse parser, and declares in it only the
-arguments of the command that its argv names.  Every command still gets
-its subparser and help line, so usage, `-h` and an invalid-choice error
-list all eight; argparse picks a subcommand by an exact match of one
-argv token, so the command it runs is always fully declared.  The
-terminal width, which argparse would read once per help formatter, is
-read once per call.
+Each call builds its own argparse parser.  Only the command that its
+argv names is declared in full; every other command gets a bare
+subparser, its name and help line without even `-h`, which is all that
+usage, `kauffman -h` and an invalid-choice error read of it.  argparse
+picks a subcommand by an exact match of one argv token, so the command
+it runs is always fully declared.
 """
 
 from __future__ import annotations
@@ -180,13 +179,11 @@ _COMMANDS = (
 
 
 def _build_parser(argv: Sequence[str]) -> argparse.ArgumentParser:
-    """The parser for `argv`: every command, with its arguments only if `argv` names it.
+    """The parser for `argv`: every command, declared in full only if `argv` names it.
 
-    Each command gets its subparser and help line, so usage, `-h` and an
-    invalid-choice error list all of them; argparse picks the subparser by
-    an exact match of one argv token, so the one it runs is fully declared.
-    Every formatter gets the width that argparse would read itself, read
-    once here instead of once per formatter.
+    Every formatter gets the terminal width, read once here, and the
+    subparsers the prefix `parser.prog`, which argparse would otherwise
+    find by formatting a usage string.
     """
     formatter = functools.partial(argparse.HelpFormatter,
                                   width=shutil.get_terminal_size().columns - 2)
@@ -195,10 +192,11 @@ def _build_parser(argv: Sequence[str]) -> argparse.ArgumentParser:
         description="Kauffman monoids: Jones normal forms, diagrams, word problem.",
         formatter_class=formatter,
     )
-    sub = parser.add_subparsers(dest="command", required=True)
+    sub = parser.add_subparsers(dest="command", required=True, prog=parser.prog)
     for name, help_, with_n, add_arguments, func in _COMMANDS:
-        p = sub.add_parser(name, help=help_, formatter_class=formatter)
-        if name not in argv:
+        named = name in argv
+        p = sub.add_parser(name, help=help_, formatter_class=formatter, add_help=named)
+        if not named:
             continue
         if with_n:
             p.add_argument("-n", type=int, required=True, metavar="N",

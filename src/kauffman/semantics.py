@@ -106,23 +106,25 @@ def _stack(mate, i: int) -> int:
     return 0
 
 
-def _rewire(t: Term, limit: int) -> tuple[list[int] | _Mates, int, int, int]:
+def _rewire(t: Term, limit: int,
+            summed: int | None = None) -> tuple[list[int] | _Mates, int, int, int]:
     """The word's code -> partner map, circle count, expanded length and block count.
 
     One pass over the word, first factor at the bottom.  A circle adds one
     to the count; a block h^[b,a] stacks H^b, H^(b-1), ..., H^a by one
     `_stack` call each, a diapsis with no range built.  The expanded
     length E = sum(b - a + 1) may not pass `limit` (DomainError): a word
-    of fewer factors than n has E summed first and is refused before any
-    stacking, else the pass refuses the block that would take its count
-    past `limit` before stacking any of it.  The map is a flat list in
-    `diagrams`' layout when n is at most the number of factors or 2E (at
-    four codes a diapsis, the word can touch all 2n slots); else a
-    `_Mates` map of the touched codes, O(min(n, E)) whatever n is.
+    of fewer factors than n has E summed first, or handed in as `summed`,
+    and is refused before any stacking, else the pass refuses the block
+    that would take its count past `limit` before stacking any of it.
+    The map is a flat list in `diagrams`' layout when n is at most the
+    number of factors or 2E (at four codes a diapsis, the word can touch
+    all 2n slots); else a `_Mates` map of the touched codes, O(min(n, E)).
     """
     n, word = t.n, t.word
-    summed = n > len(word) and sum(g.upper - g.lower + 1 for g in word if isinstance(g, Block))
-    if summed > limit:  # summed is False, so 0, when n is at most the number of factors
+    if summed is None:  # summed is False, so 0, when n is at most the number of factors
+        summed = n > len(word) and sum(g.upper - g.lower + 1 for g in word if isinstance(g, Block))
+    if summed > limit:
         raise DomainError(f"expanded word longer than {limit} diapsides")
     if n <= max(len(word), 2 * summed):
         mate = [0, *range(-1, -n - 1, -1), *range(n, 0, -1)]  # the identity
@@ -201,17 +203,17 @@ def decide_nf(t: Term) -> JonesNF:
     rewritten word wastes at most that many `_stack` calls.  A word of
     more than MAX_WORD_LENGTH // DIAGRAM_ROUTE_WIDTH factors, where that
     many calls could reach MAX_WORD_LENGTH, has its widths summed first
-    and is rewritten without any.
+    and is rewritten without any; else `_rewire` is handed that sum.
     """
-    word = t.word
+    word, summed = t.word, None
     if len(word) > MAX_WORD_LENGTH // DIAGRAM_ROUTE_WIDTH:
         blocks = [g for g in word if isinstance(g, Block)]
-        expanded = sum(g.upper - g.lower + 1 for g in blocks)
-        if expanded > min(DIAGRAM_ROUTE_WIDTH * len(blocks), MAX_WORD_LENGTH):
+        summed = sum(g.upper - g.lower + 1 for g in blocks)
+        if summed > min(DIAGRAM_ROUTE_WIDTH * len(blocks), MAX_WORD_LENGTH):
             return normal_form(t)
     try:
         mate, circles, expanded, blocks = _rewire(
-            t, min(DIAGRAM_ROUTE_WIDTH * len(word), MAX_WORD_LENGTH))
+            t, min(DIAGRAM_ROUTE_WIDTH * len(word), MAX_WORD_LENGTH), summed)
     except DomainError:
         return normal_form(t)
     if expanded > DIAGRAM_ROUTE_WIDTH * blocks:

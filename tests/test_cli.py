@@ -774,13 +774,29 @@ def test_every_workload_argv_parses_as_by_the_full_parser(workload):
         assert_parsed_as_by_the_full_parser(argv)
 
 
-def test_a_command_not_named_carries_only_its_help_action():
+def test_a_command_not_named_gets_a_bare_subparser():
     parser = cli._build_parser(["nf", "-n", "3", "h1"])
     sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
     assert list(sub.choices) == COMMAND_NAMES
     declared = {name: [a.dest for a in p._actions] for name, p in sub.choices.items()}
     assert declared.pop("nf") == ["help", "n", "term", "trace"]
-    assert all(dests == ["help"] for dests in declared.values())
+    assert all(dests == [] for dests in declared.values())
+
+
+@pytest.mark.parametrize("columns", ["50", "80", "200"])
+@pytest.mark.parametrize("argv", [
+    [], ["-h"], ["--help"], ["bogus"], ["-x"],
+    *([name, "-h"] for name in COMMAND_NAMES),
+    ["nf", "h1"], ["term-of", "--method", "bogus"], ["render", "-n", "3", "--format", "png", "h1"],
+    ["enum", "-n", "3", "--terms", "1", "--pairings"], ["eq", "-n", "3", "nf", "h1"]])
+def test_every_width_prints_as_with_every_command_declared(monkeypatch, capsys, columns, argv):
+    """Usage, help and errors at a narrow, the default and a wide terminal."""
+    monkeypatch.setenv("COLUMNS", columns)
+    outputs = [run(capsys, *argv)]
+    build = cli._build_parser
+    monkeypatch.setattr(cli, "_build_parser", lambda argv: build([*argv, *COMMAND_NAMES]))
+    outputs.append(run(capsys, *argv))
+    assert outputs[0] == outputs[1]
 
 
 @pytest.mark.parametrize("argv", [
