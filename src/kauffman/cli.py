@@ -84,8 +84,8 @@ def _cmd_diagram(args) -> int:
 
 def _cmd_term_of(args) -> int:
     try:
-        data = json.load(sys.stdin)
-    except (json.JSONDecodeError, RecursionError) as e:  # RecursionError: nested too deep
+        data = json.load(sys.stdin)  # over-long integers and undecodable bytes: ValueError too
+    except (ValueError, RecursionError) as e:  # RecursionError: nested too deep
         raise DomainError(f"invalid JSON on stdin: {e}") from None
     diagram = from_json_dict(data)
     if args.method == "slope":

@@ -13,8 +13,9 @@ diagram: `nf_by_diagram` does so in one rewiring pass over the expanded
 word, however many rewrite steps the word would need.  The rewriting of
 `rewrite`, which follows the paper, is the reference and rewrites blocks
 whole.  `decide_nf`, and so the word problem, takes the diagram route
-unless the word's blocks are too wide for it, which the same pass finds
-out; `decide_equal(..., cross_check=True)` runs both routes and raises
+unless the word's blocks are too wide for it, which the pass finds out
+from their summed widths before it stacks anything;
+`decide_equal(..., cross_check=True)` runs both routes and raises
 ConsistencyError if they disagree.
 
 Two extraction procedures invert delta on normal forms:
@@ -51,8 +52,9 @@ Two extraction procedures invert delta on normal forms:
   by the move `delta` makes per diapsis, must restore them, and the span
   must drop by exactly 2.  The whole word is checked once, at the end: its
   `delta` must be the input diagram.  The cost is O(span/2 + n); the scan
-  visited at most 2 (steps + n) codes on every family measured
-  (staircases, side-by-side cups, random pairings), which is not a proof.
+  reads at most 2 (steps + n) codes on every family the test suite runs
+  (every pairing up to n = 8, staircases, nested and side-by-side cups,
+  random pairings), which is not a proof.
   A diagram whose span/2, the number of diapsides peeled, or whose size
   exceeds MAX_WORD_LENGTH is refused before the first step.  The peeled
   diapsides are the expansion of the Jones normal form, so `peel` groups
@@ -106,45 +108,40 @@ def _stack(mate, i: int) -> int:
     return 0
 
 
-def _rewire(t: Term, limit: int,
-            summed: int | None = None) -> tuple[list[int] | _Mates, int, int, int]:
-    """The word's code -> partner map, circle count, expanded length and block count.
+def _rewire(t: Term, width: int = MAX_WORD_LENGTH) -> tuple[list[int] | _Mates, int]:
+    """The word's code -> partner map and circle count.
 
-    One pass over the word, first factor at the bottom.  A circle adds one
-    to the count; a block h^[b,a] stacks H^b, H^(b-1), ..., H^a by one
-    `_stack` call each, a diapsis with no range built.  The expanded
-    length E = sum(b - a + 1) may not pass `limit` (DomainError): a word
-    of fewer factors than n has E summed first, or handed in as `summed`,
-    and is refused before any stacking, else the pass refuses the block
-    that would take its count past `limit` before stacking any of it.
-    The map is a flat list in `diagrams`' layout when n is at most the
-    number of factors or 2E (at four codes a diapsis, the word can touch
-    all 2n slots); else a `_Mates` map of the touched codes, O(min(n, E)).
+    The expanded length E = sum(b - a + 1) over the word's blocks is
+    summed first, and a word whose E passes `width` times its number of
+    blocks, or MAX_WORD_LENGTH, is refused (DomainError) before anything
+    is stacked.  Then one pass over the blocks, first at the bottom: a
+    block h^[b,a] stacks H^b, H^(b-1), ..., H^a by one `_stack` call
+    each, a diapsis with no range built.  The map is a flat list in
+    `diagrams`' layout when n is at most the number of factors or 2E (at
+    four codes a diapsis, the word can touch all 2n slots); else a
+    `_Mates` map of the touched codes, O(min(n, E)).
     """
     n, word = t.n, t.word
-    if summed is None:  # summed is False, so 0, when n is at most the number of factors
-        summed = n > len(word) and sum(g.upper - g.lower + 1 for g in word if isinstance(g, Block))
-    if summed > limit:
+    blocks = [g for g in word if isinstance(g, Block)]
+    expanded = len(blocks)
+    for g in blocks:
+        expanded += g.upper - g.lower
+    limit = min(width * len(blocks), MAX_WORD_LENGTH)
+    if expanded > limit:
         raise DomainError(f"expanded word longer than {limit} diapsides")
-    if n <= max(len(word), 2 * summed):
+    if n <= max(len(word), 2 * expanded):
         mate = [0, *range(-1, -n - 1, -1), *range(n, 0, -1)]  # the identity
     else:
         mate = _Mates()
-    circles = closed = expanded = 0  # circle factors, circles the stacking closes, diapsides
-    for g in word:
-        if not isinstance(g, Block):
-            circles += 1
-            continue
+    circles = len(word) - len(blocks)  # the circle factors, then those the stacking closes
+    for g in blocks:
         b, a = g.upper, g.lower
-        expanded += b - a + 1
-        if expanded > limit:
-            raise DomainError(f"expanded word longer than {limit} diapsides")
         if b == a:
-            closed += _stack(mate, b)
+            circles += _stack(mate, b)
         else:
             for i in range(b, a - 1, -1):
-                closed += _stack(mate, i)
-    return mate, circles + closed, expanded, len(word) - circles
+                circles += _stack(mate, i)
+    return mate, circles
 
 
 def _read_nf(n: int, mate: list[int] | _Mates, circles: int) -> JonesNF:
@@ -168,7 +165,7 @@ def delta(t: Term) -> Diagram:
     n = t.n
     if n > MAX_WORD_LENGTH:
         raise DomainError(f"diagram size {n} exceeds {MAX_WORD_LENGTH}")
-    mate, circles, _, _ = _rewire(t, MAX_WORD_LENGTH)
+    mate, circles = _rewire(t)
     if isinstance(mate, _Mates):
         mate, touched = [0, *range(-1, -n - 1, -1), *range(n, 0, -1)], mate
         for code, partner in touched.items():
@@ -185,7 +182,7 @@ def nf_by_diagram(t: Term) -> JonesNF:
     O(n) here, while `normal_form` rewrites blocks whole; `decide_nf`
     picks between the two.
     """
-    mate, circles, _, _ = _rewire(t, MAX_WORD_LENGTH)
+    mate, circles = _rewire(t)
     return _read_nf(t.n, mate, circles)
 
 
@@ -198,25 +195,13 @@ def decide_nf(t: Term) -> JonesNF:
     number of blocks and at most MAX_WORD_LENGTH, so its time and memory
     stay within a fixed multiple of the word's length; other words, such
     as h[n-1,1] at a large n, are rewritten, so every word that parses
-    gets an answer.  The rule is read off `_rewire`'s pass, which gives up
-    once E passes DIAGRAM_ROUTE_WIDTH times the number of factors, so a
-    rewritten word wastes at most that many `_stack` calls.  A word of
-    more than MAX_WORD_LENGTH // DIAGRAM_ROUTE_WIDTH factors, where that
-    many calls could reach MAX_WORD_LENGTH, has its widths summed first
-    and is rewritten without any; else `_rewire` is handed that sum.
+    gets an answer.  `_rewire` applies the rule to the summed widths and
+    refuses a word over it before stacking anything, so a rewritten word
+    costs the diagram route one pass over its factors.
     """
-    word, summed = t.word, None
-    if len(word) > MAX_WORD_LENGTH // DIAGRAM_ROUTE_WIDTH:
-        blocks = [g for g in word if isinstance(g, Block)]
-        summed = sum(g.upper - g.lower + 1 for g in blocks)
-        if summed > min(DIAGRAM_ROUTE_WIDTH * len(blocks), MAX_WORD_LENGTH):
-            return normal_form(t)
     try:
-        mate, circles, expanded, blocks = _rewire(
-            t, min(DIAGRAM_ROUTE_WIDTH * len(word), MAX_WORD_LENGTH), summed)
+        mate, circles = _rewire(t, DIAGRAM_ROUTE_WIDTH)
     except DomainError:
-        return normal_form(t)
-    if expanded > DIAGRAM_ROUTE_WIDTH * blocks:
         return normal_form(t)
     return _read_nf(t.n, mate, circles)
 
@@ -328,7 +313,7 @@ def peel(d: Diagram) -> Term:
         raise ConsistencyError(f"peeled word is not a normal form: {e}") from None
     del mate  # freed before the check stacks the peeled word
     peeled = nf_to_term(nf)
-    built, circles, _, _ = _rewire(peeled, MAX_WORD_LENGTH)
+    built, circles = _rewire(peeled)
     codes = range(-n, n + 1)
     if circles != d.circles or any(map(ne, map(built.__getitem__, codes),
                                        map(d.mates.__getitem__, codes))):

@@ -32,6 +32,7 @@ from kauffman import (
     compose,
     delta,
     nf_to_term,
+    parenword_to_pairing,
     peel,
 )
 from kauffman.diagrams import is_planar_pairing
@@ -399,6 +400,16 @@ def side_by_side(n: int) -> Diagram:
     """Top cups (2i+1, 2i+2) over bottom caps at the same places, for even n."""
     cups = [(2 * i + 1, 2 * i + 2) for i in range(n // 2)]
     return Diagram(n, tuple(cups) + tuple((-b, -a) for a, b in cups))
+
+
+def random_pairing(rng: random.Random, n: int, circles: int) -> Diagram:
+    """A planar pairing read off a random balanced bracket word, plus circles."""
+    word, opened = "", 0
+    while len(word) < 2 * n:
+        close = opened > len(word) - opened and (opened == n or rng.random() < 0.5)
+        word += ")" if close else "("
+        opened += not close
+    return Diagram(n, parenword_to_pairing(word, n).pairs, circles)
 
 
 def _naive_steps(t: Term, strategy: str):

@@ -484,6 +484,22 @@ def test_term_of_reports_json_nested_too_deep_as_invalid(capsys, monkeypatch):
     assert err.startswith("error: invalid JSON on stdin: ")
 
 
+@pytest.mark.parametrize("stdin, encoding", [
+    (b'{"n": 2, "pairs": [], "circles": ' + b"9" * 5000 + b"}", "utf-8"),  # past the digit limit
+    (b'{"n": 2, "pairs": [], "circles": 0}\xff', "utf-8:strict"),  # bytes that do not decode
+], ids=["long-integer", "non-utf-8"])
+def test_term_of_reports_undecodable_stdin_as_invalid_json(stdin, encoding):
+    # neither is a JSONDecodeError, but both are ValueErrors; the message differs between
+    # Python versions, so only its start is matched
+    src = str(Path(kauffman.__file__).resolve().parents[1])
+    proc = subprocess.run([sys.executable, "-m", "kauffman.cli", "term-of"], input=stdin,
+                          capture_output=True, timeout=120,
+                          env={**os.environ, "PYTHONPATH": src, "PYTHONIOENCODING": encoding})
+    assert (proc.returncode, proc.stdout) == (2, b""), proc.stderr
+    assert proc.stderr.startswith(b"error: ")
+    assert b"Traceback" not in proc.stderr
+
+
 @pytest.mark.parametrize("method", ["slope", "peel"])
 def test_term_of_refuses_circles_over_the_bound_before_building_them(capsys, monkeypatch, method):
     def term_of(circles):

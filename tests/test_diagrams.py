@@ -17,7 +17,6 @@ from kauffman import (
     delta,
     enumerate_pairings,
     from_json_dict,
-    parenword_to_pairing,
     parse,
     peel,
     slope_points,
@@ -28,7 +27,7 @@ from kauffman.diagrams import _build, is_planar_pairing
 from kauffman.semantics import delta_block
 
 from helpers import (compose_oracle, covers, diapsis_diagram, identity, is_exact_cover,
-                     is_planar_matching, thread_class)
+                     is_planar_matching, random_pairing, thread_class)
 
 
 def with_circles(d: Diagram, k: int) -> Diagram:
@@ -103,16 +102,6 @@ def test_compose_matches_component_oracle():
         pool = enumerate_pairings(n)
         for a, b in product(pool, repeat=2):
             assert compose(a, b) == compose_oracle(a, b)
-
-
-def random_pairing(rng: random.Random, n: int, circles: int) -> Diagram:
-    """A planar pairing read off a random balanced bracket word, plus circles."""
-    word, opened = "", 0
-    while len(word) < 2 * n:
-        close = opened > len(word) - opened and (opened == n or rng.random() < 0.5)
-        word += ")" if close else "("
-        opened += not close
-    return Diagram(n, parenword_to_pairing(word, n).pairs, circles)
 
 
 def test_compose_matches_component_oracle_on_random_pairings():

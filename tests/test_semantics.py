@@ -40,7 +40,7 @@ from kauffman.semantics import DIAGRAM_ROUTE_WIDTH, _first_crossed, _rewire, _st
 from kauffman.syntax import MAX_WORD_LENGTH
 
 from helpers import (compose_fold, diapsis_diagram, expand, identity, normal_forms_st,
-                     nested, peel_states, side_by_side, terms_st)
+                     nested, peel_states, random_pairing, side_by_side, staircase, terms_st)
 
 WORKED_EXAMPLE = "c^6 h[3,1] h[4,4] h[7,7] h[9,8] h[10,9]"
 
@@ -262,9 +262,8 @@ def _counting_stack(stacked):
 @settings(max_examples=300)
 @given(_wide_words(), st.sampled_from([MAX_WORD_LENGTH, 40, 100]))
 def test_decide_nf_rewrites_exactly_the_words_over_the_route_bound(t, max_length):
-    """The route rule, on words over and under each bound, and the rewiring a
-    rewritten word wastes: at most the route width per factor, and none on a
-    word of more than max_length // DIAGRAM_ROUTE_WIDTH factors."""
+    """The route rule, on words over and under each bound: a word that is read
+    off its diagram is stacked diapsis by diapsis, and a rewritten one not at all."""
     blocks = [g for g in t.word if isinstance(g, Block)]
     expanded = sum(g.upper - g.lower + 1 for g in blocks)
     stacked, rewritten = [], []
@@ -280,9 +279,7 @@ def test_decide_nf_rewrites_exactly_the_words_over_the_route_bound(t, max_length
         nf = decide_nf(t)
     assert nf == normal_form(t)
     assert bool(rewritten) == (expanded > min(DIAGRAM_ROUTE_WIDTH * len(blocks), max_length))
-    assert len(stacked) <= min(DIAGRAM_ROUTE_WIDTH * len(t.word), max_length)
-    if rewritten and len(t.word) > max_length // DIAGRAM_ROUTE_WIDTH:
-        assert stacked == []
+    assert len(stacked) == (0 if rewritten else expanded)
 
 
 @settings(max_examples=300)
@@ -292,7 +289,7 @@ def test_flat_list_and_sparse_map_agree(t):
     on the sparse map."""
     expanded = sum(g.upper - g.lower + 1 for g in t.word if isinstance(g, Block))
     wide = Term(t.n + max(len(t.word), 2 * expanded) + 1, t.word)
-    assert type(semantics._rewire(wide, MAX_WORD_LENGTH)[0]) is semantics._Mates
+    assert type(semantics._rewire(wide)[0]) is semantics._Mates
     nf, wide_nf = nf_by_diagram(t), nf_by_diagram(wide)
     assert (nf.circles, nf.blocks) == (wide_nf.circles, wide_nf.blocks)
 
@@ -403,6 +400,49 @@ def test_peel_recomposes():
             assert delta(peel(d)) == d
 
 
+class _CountingReads:
+    """A partner map that counts the codes read from it in `reads[0]`."""
+
+    def __init__(self, mate, reads):
+        self.mate, self.reads = mate, reads
+
+    def __getitem__(self, code):
+        self.reads[0] += 1
+        return self.mate[code]
+
+
+def _assert_scan_bound(d: Diagram) -> None:
+    """Peel's scan reads at most 2 (steps + n) codes of the map, steps being span/2."""
+    reads = [0]
+
+    def counting_first_crossed(mate, n, j):
+        return _first_crossed(_CountingReads(mate, reads), n, j)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(semantics, "_first_crossed", counting_first_crossed)
+        peeled = peel(d)
+    assert peeled == nf_to_term(diagram_to_nf(d))
+    assert reads[0] <= 2 * (span(d) // 2 + d.n), (d.n, reads[0], span(d) // 2)
+
+
+def test_peel_scan_bound_on_every_pairing_up_to_n_8():
+    for n in range(2, 9):
+        for d in enumerate_pairings(n):
+            _assert_scan_bound(d)
+
+
+@pytest.mark.parametrize("family", [staircase, nested, side_by_side])
+def test_peel_scan_bound_on_the_large_families(family):
+    for n in (2, 4, 10, 64, 250, 1000):
+        _assert_scan_bound(family(n))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(2, 300), st.randoms(use_true_random=False))
+def test_peel_scan_bound_on_random_pairings(n, rng):
+    _assert_scan_bound(random_pairing(rng, n, 0))
+
+
 def test_peel_refuses_a_word_over_the_bound_before_any_step():
     d = nested(2002)
     assert span(d) // 2 == 1_002_001
@@ -467,14 +507,33 @@ def test_delta_and_compose_hold_only_the_flat_partner_map():
 
 
 def test_rewire_refuses_a_word_over_the_limit_on_its_summed_widths_before_stacking(monkeypatch):
-    # n exceeds the factor count, so the widths are summed to choose the layout; a sum over the
-    # limit is refused there, where the pass stacked the first block's 30 diapsides first
+    # the limit is the width times the number of blocks, here 20 * 2, or MAX_WORD_LENGTH; a sum
+    # over it is refused before the first block, whose 30 diapsides would fit, is stacked
     stacked = []
     monkeypatch.setattr(semantics, "_stack", _counting_stack(stacked))
     with pytest.raises(DomainError, match="expanded word longer than 40 diapsides"):
-        _rewire(Term(1000, (Block(30, 1),) * 2), 40)
+        _rewire(Term(1000, (Block(30, 1), CIRCLE, Block(30, 1))), 20)
     assert stacked == []
-    _rewire(Term(1000, (Block(20, 1),) * 2), 40)  # exactly the limit is stacked
+    _rewire(Term(1000, (Block(20, 1), CIRCLE, Block(20, 1))), 20)  # the limit itself is stacked
+    assert len(stacked) == 40
+    monkeypatch.setattr(semantics, "MAX_WORD_LENGTH", 39)
+    with pytest.raises(DomainError, match="expanded word longer than 39 diapsides"):
+        _rewire(Term(1000, (Block(20, 1),) * 2), 20)
+    assert len(stacked) == 40
+
+
+def test_delta_and_nf_by_diagram_refuse_an_over_limit_word_of_many_factors_before_stacking(
+        monkeypatch):
+    # n is at most the factor count, so the flat layout needs no sum, yet the sum comes first:
+    # 11 blocks of 4 diapsides pass a limit of 40 before any of the 44 is stacked
+    stacked = []
+    monkeypatch.setattr(semantics, "_stack", _counting_stack(stacked))
+    monkeypatch.setattr(semantics, "MAX_WORD_LENGTH", 40)
+    for f in (delta, nf_by_diagram):
+        with pytest.raises(DomainError, match="expanded word longer than 40 diapsides"):
+            f(Term(5, (Block(4, 1),) * 11))
+    assert stacked == []
+    assert delta(Term(5, (Block(4, 1),) * 10)) == compose_fold(Term(5, (Block(4, 1),) * 10))
     assert len(stacked) == 40
 
 
@@ -496,7 +555,7 @@ def test_peel_check_of_side_by_side_cups_stacks_onto_a_flat_list():
     d = side_by_side(10**5)
     peeled, _, peak = _traced(peel, d)
     assert peak < 27 * 2**20, peak
-    assert type(_rewire(peeled, MAX_WORD_LENGTH)[0]) is list
+    assert type(_rewire(peeled)[0]) is list
     assert diagram_to_nf(d) == normal_form(peeled)
 
 
@@ -517,9 +576,9 @@ def _broken_stack(mate, i):
     return 0
 
 
-def _one_circle_more(t, limit):
-    mate, circles, expanded, blocks = _rewire(t, limit)
-    return mate, circles + 1, expanded, blocks
+def _one_circle_more(t):
+    mate, circles = _rewire(t)
+    return mate, circles + 1
 
 
 def _rewires_the_cup_below(mate, n, j):
@@ -533,7 +592,7 @@ def _rewires_the_cup_below(mate, n, j):
     ("_first_crossed", lambda mate, n, j: (j - 1, mate[j - 1]), "span by != 2"),
     ("_stack", _broken_stack, "does not recompose"),
     ("span", lambda d: span(d) + 2, "no span-1 cup"),
-    ("_rewire", lambda t, limit: _rewire(Term(t.n), limit), "does not evaluate"),
+    ("_rewire", lambda t: _rewire(Term(t.n)), "does not evaluate"),
     ("_rewire", _one_circle_more, "does not evaluate"),
     ("_first_crossed", _rewires_the_cup_below, r"stacked cup \(2, 3\) was rewired"),
     ("JonesNF", lambda n, circles, blocks: JonesNF(n, circles, blocks[::-1]),
