@@ -5,11 +5,11 @@ selftest, 2 parse or domain errors, 3 internal cross-check failures,
 141 (128 + SIGPIPE, as a shell reports a pipe writer that SIGPIPE ended)
 when the reader of stdout closed it before the output ended.
 
-Output is written as it is produced: `enum` writes one line per object,
-and `nf --trace` writes one line per rewrite step as the step fires, up
-to TRACE_CHUNK lines per write, so neither holds its whole output in
-memory; a failure partway leaves the lines of everything before it on
-stdout.
+Output is written as it is produced, WRITE_CHUNK pieces per write, by
+one writer: `nf --trace` gives it one line per rewrite step as the step
+fires, `enum` one line per object, `render` one piece per SVG element
+(an ASCII raster, bounded in size, is one piece), so none is held whole;
+a failure partway leaves the pieces before it on stdout.
 
 Each call builds its own argparse parser.  Only the command that its
 argv names is declared in full; every other command gets a bare
@@ -27,46 +27,60 @@ import json
 import os
 import shutil
 import sys
-from typing import Sequence
+from itertools import islice
+from typing import Iterable, Iterator, Sequence
 
 from . import selftest
 from .diagrams import from_json_dict, to_json_dict
-from .draw import render
+# render, normalize and normal_form are not called here, but stay names of this module:
+# perfbench/tracing.py wraps kauffman.cli.render, .normalize and .normal_form
+from .draw import render, render_pieces  # noqa: F401
 from .enumeration import (
     count_pairings,
     enumerate_normal_forms,
     enumerate_pairings,
     enumerate_terms,
 )
-# normalize and normal_form are not called here, but stay names of this module:
-# perfbench/tracing.py wraps kauffman.cli.normalize and kauffman.cli.normal_form
 from .rewrite import ConsistencyError, format_step, normal_form, normalize, rewrite_steps  # noqa: F401
 from .semantics import decide_equal, decide_nf, delta, diagram_to_nf, peel
 from .syntax import ParseError, format_term, parse
 from .terms import DomainError, nf_to_term
 
 EXIT_CLOSED_PIPE = 141
-TRACE_CHUNK = 512  # nf --trace lines per write
+WRITE_CHUNK = 512  # pieces of text per write
+
+
+def _write(pieces: Iterable[str]) -> None:
+    """Write the pieces to stdout as they come, WRITE_CHUNK to a write."""
+    pieces, held = iter(pieces), []
+    try:
+        while True:
+            held.extend(islice(pieces, WRITE_CHUNK))  # keeps the pieces before a raise
+            if len(held) < WRITE_CHUNK:
+                break
+            chunk, held = held, []
+            sys.stdout.write("".join(chunk))
+    finally:  # when the source raises too: the pieces it gave before
+        if held:
+            sys.stdout.write("".join(held))
+
+
+def _trace_lines(term) -> Iterator[str]:
+    """nf --trace's output: one line per rewrite step as it fires, then the normal form."""
+    steps = rewrite_steps(term)
+    try:
+        while True:
+            yield format_step(next(steps)) + "\n"
+    except StopIteration as done:
+        yield format_term(nf_to_term(done.value)) + "\n"
 
 
 def _cmd_nf(args) -> int:
     term = parse(args.term, args.n)
     if args.trace:
-        steps, lines, write = rewrite_steps(term), [], sys.stdout.write
-        try:
-            while True:
-                lines.append(format_step(next(steps)))
-                if len(lines) == TRACE_CHUNK:
-                    chunk, lines = lines, []
-                    write("\n".join(chunk) + "\n")
-        except StopIteration as done:
-            nf = done.value
-        finally:  # on a failing step too: the lines of the steps before it
-            if lines:
-                write("\n".join(lines) + "\n")
+        _write(_trace_lines(term))
     else:
-        nf = decide_nf(term)
-    print(format_term(nf_to_term(nf)))
+        print(format_term(nf_to_term(decide_nf(term))))
     return 0
 
 
@@ -98,14 +112,12 @@ def _cmd_term_of(args) -> int:
 
 def _cmd_enum(args) -> int:
     if args.pairings:
-        for d in enumerate_pairings(args.n):
-            print(json.dumps(to_json_dict(d)))
+        _write(json.dumps(to_json_dict(d)) + "\n" for d in enumerate_pairings(args.n))
     elif args.terms is not None:
-        for t in enumerate_terms(args.n, args.terms):
-            print(format_term(t))
+        _write(format_term(t) + "\n" for t in enumerate_terms(args.n, args.terms))
     else:
-        for f in enumerate_normal_forms(args.n, args.nf):
-            print(format_term(nf_to_term(f)))
+        _write(format_term(nf_to_term(f)) + "\n"
+               for f in enumerate_normal_forms(args.n, args.nf))
     return 0
 
 
@@ -115,7 +127,8 @@ def _cmd_count(args) -> int:
 
 
 def _cmd_render(args) -> int:
-    print(render(delta(parse(args.term, args.n)), args.format, args.unit, args.labels))
+    _write(render_pieces(delta(parse(args.term, args.n)), args.format, args.unit, args.labels))
+    print()
     return 0
 
 

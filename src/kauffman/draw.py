@@ -5,18 +5,19 @@ a(n) = max(5, (n-1)(n-2)/2), which leaves room for the steepest
 transversal.  Circles are stacked along the left margin.  SVG output uses
 only line, path (arc commands), circle and text elements, so drawings can
 be checked by counting elements: one line per transversal, one arc per
-cup or cap, one small circle per circle component.  The SVG is written
-as text in one pass, one string per element; no value needs escaping,
-since each is a number, a label's digits or an arc's path commands.
-ASCII output is a coarse raster over the characters | / \\ _ o.  A
-raster of more than MAX_ASCII_CELLS cells, or an SVG canvas whose size
-is not a finite float, is refused with DomainError.
+cup or cap, one small circle per circle component.  The SVG is yielded
+one string per element, for `render` to join or the CLI to write in
+chunks; no value needs escaping.  ASCII output is a coarse raster over
+the characters | / \\ _ o.  A raster of more than MAX_ASCII_CELLS cells,
+or an SVG canvas whose size is not a finite float, is refused with
+DomainError.
 """
 
 from __future__ import annotations
 
 import math
 import sys
+from typing import Iterable, Iterator
 
 from .diagrams import Diagram
 from .terms import DomainError
@@ -32,9 +33,9 @@ def canvas_height(n: int) -> int:
 
 def _split(d: Diagram):
     n, mates = d.n, d.mates
-    cups = [(c, m) for c, m in zip(range(1, n + 1), mates[1:n + 1]) if c < m]
-    caps = [(-m, -c) for c, m in zip(range(-n, 0), mates[n + 1:]) if c < m < 0]
-    trans = [(m, -c) for c, m in zip(range(-n, 0), mates[n + 1:]) if m > 0]  # (top, bottom)
+    cups = ((c, mates[c]) for c in range(1, n + 1) if c < mates[c])
+    caps = ((-mates[c], -c) for c in range(-n, 0) if c < mates[c] < 0)
+    trans = ((mates[c], -c) for c in range(-n, 0) if mates[c] > 0)  # (top, bottom)
     return cups, caps, trans
 
 
@@ -50,8 +51,8 @@ def _fmt(x: float) -> str:
     return f"{x:.6g}"
 
 
-def render_svg(d: Diagram, unit: float = UNITS["svg"], show_labels: bool = False) -> str:
-    """The SVG text: one f-string per element, joined once.
+def render_svg(d: Diagram, unit: float = UNITS["svg"], show_labels: bool = False) -> Iterator[str]:
+    """The SVG text, one f-string per element, yielded as it is made, the first after the checks.
 
     Nothing is escaped, and nothing needs to be: every attribute value and
     text node is a `_fmt` number, a label's digits or the M/A commands of
@@ -69,39 +70,38 @@ def render_svg(d: Diagram, unit: float = UNITS["svg"], show_labels: bool = False
         return (height - v) * unit  # diagram y grows upward, svg y downward
 
     w, h, top, bottom = x(n + 1), _fmt(height * unit), _fmt(y(height)), _fmt(y(0))
-    out = [f'<svg xmlns="http://www.w3.org/2000/svg" width="{w}" height="{h}"'
+    yield (f'<svg xmlns="http://www.w3.org/2000/svg" width="{w}" height="{h}"'
            f' viewBox="0 0 {w} {h}">'
-           f'<g fill="none" stroke="black" stroke-width="{_fmt(max(1.0, unit / 16))}">']
+           f'<g fill="none" stroke="black" stroke-width="{_fmt(max(1.0, unit / 16))}">')
     cups, caps, trans = _split(d)
     for t, b in trans:
-        out.append(f'<line x1="{x(t)}" y1="{top}" x2="{x(b)}" y2="{bottom}" />')
+        yield f'<line x1="{x(t)}" y1="{top}" x2="{x(b)}" y2="{bottom}" />'
     # sweep flag 0 bows a left-to-right arc toward +y (down into the canvas), 1 up
     for arcs, edge, sweep in ((cups, top, 0), (caps, bottom, 1)):
         for left, right in arcs:
             r = _fmt((right - left) / 2 * unit)
-            out.append(f'<path d="M {x(left)} {edge} A {r} {r} 0 0 {sweep} {x(right)} {edge}" />')
+            yield f'<path d="M {x(left)} {edge} A {r} {r} 0 0 {sweep} {x(right)} {edge}" />'
     if d.circles:
         spacing = min(1.0, (height - 1) / d.circles)
         cx, r = x(0.5), _fmt(min(0.25, spacing / 3) * unit)
         for k in range(d.circles):
-            out.append(f'<circle cx="{cx}" cy="{_fmt(y(0.5 + k * spacing))}" r="{r}" />')
-    out.append("</g>")
+            yield f'<circle cx="{cx}" cy="{_fmt(y(0.5 + k * spacing))}" r="{r}" />'
+    yield "</g>"
     if show_labels:
-        out.append(f'<g font-size="{_fmt(unit / 2)}" text-anchor="middle">')
+        yield f'<g font-size="{_fmt(unit / 2)}" text-anchor="middle">'
         above, below = _fmt(y(height) + unit / 2), _fmt(y(0) - unit / 5)
         for i in range(1, n + 1):
-            out.append(f'<text x="{x(i)}" y="{above}">{i}</text>'
-                       f'<text x="{x(i)}" y="{below}">{i}</text>')
-        out.append("</g>")
-    out.append("</svg>")
-    return "".join(out)
+            yield (f'<text x="{x(i)}" y="{above}">{i}</text>'
+                   f'<text x="{x(i)}" y="{below}">{i}</text>')
+        yield "</g>"
+    yield "</svg>"
 
 
 def render_ascii(d: Diagram, unit: float = UNITS["ascii"], show_labels: bool = False) -> str:
     unit = _unit(unit)
     n = d.n
     cols = max(2, round(unit))
-    cups, caps, trans = _split(d)
+    cups, caps, trans = map(list, _split(d))  # the raster's size needs the depth maxima first
 
     def depth(left: int, right: int) -> int:
         return max(1, (right - left) * cols // 2)
@@ -158,10 +158,16 @@ def render_ascii(d: Diagram, unit: float = UNITS["ascii"], show_labels: bool = F
     return "\n".join(lines)
 
 
+def render_pieces(d: Diagram, format: str, unit: float | None, show_labels: bool) -> Iterable[str]:
+    """`render`'s text in pieces: the SVG element by element, an ASCII raster whole."""
+    if format not in UNITS:
+        raise DomainError(f"format must be one of {tuple(UNITS)}, got {format!r}")
+    unit = UNITS[format] if unit is None else unit
+    return (render_svg(d, unit, show_labels) if format == "svg"
+            else (render_ascii(d, unit, show_labels),))
+
+
 def render(d: Diagram, format: str = "svg", unit: float | None = None,
            show_labels: bool = False) -> str:
     """Render a diagram as svg or ascii; unit defaults to the format's UNITS entry."""
-    if format not in UNITS:
-        raise DomainError(f"format must be one of {tuple(UNITS)}, got {format!r}")
-    draw = render_svg if format == "svg" else render_ascii
-    return draw(d, UNITS[format] if unit is None else unit, show_labels)
+    return "".join(render_pieces(d, format, unit, show_labels))

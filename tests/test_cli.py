@@ -35,11 +35,11 @@ from kauffman import (
     to_json_dict,
 )
 from kauffman import cli
-from kauffman.cli import EXIT_CLOSED_PIPE, TRACE_CHUNK, main
-from kauffman.draw import _split, render_ascii
+from kauffman.cli import EXIT_CLOSED_PIPE, WRITE_CHUNK, main
+from kauffman.draw import _split, render_ascii, render_pieces
 from kauffman.selftest import random_term
 
-from helpers import nested, side_by_side, staircase
+from helpers import nested, side_by_side, staircase, terms_st
 
 WORKED_EXAMPLE = "c^6 h[3,1] h[4,4] h[7,7] h[9,8] h[10,9]"
 
@@ -270,7 +270,7 @@ def test_nf_trace_exit_3_keeps_the_lines_of_the_steps_before_the_failure(capsys,
     assert err.startswith("internal error: measure did not decrease for hcI at 6: ")
 
 
-@pytest.mark.parametrize("failing_step", [TRACE_CHUNK, TRACE_CHUNK + 1, 2 * TRACE_CHUNK + 7])
+@pytest.mark.parametrize("failing_step", [WRITE_CHUNK, WRITE_CHUNK + 1, 2 * WRITE_CHUNK + 7])
 def test_nf_trace_exit_3_keeps_every_chunk_before_the_failure(capsys, monkeypatch, failing_step):
     """Around and past the write chunk's size, stdout holds exactly the lines
     of the steps before the failing one."""
@@ -309,18 +309,24 @@ def test_nf_trace_exit_3_inside_a_circle_run_keeps_the_lines_before_the_failure(
 
 
 @pytest.mark.parametrize("argv", [("enum", "-n", "9", "--pairings"),
-                                  ("nf", "-n", "201", "--trace", trailing_circles(200))])
+                                  ("nf", "-n", "201", "--trace", trailing_circles(200)),
+                                  ("render", "-n", "20000", "--labels", "h1")])
 def test_a_closed_pipe_ends_quietly(argv):
-    """The reader takes one line and closes the pipe: no traceback, exit 141."""
+    """The reader takes one line, or 4096 bytes of the SVG, whose one newline is its last
+    byte, and closes the pipe: no traceback, exit 141."""
     src = str(Path(kauffman.__file__).resolve().parents[1])
     proc = subprocess.Popen([sys.executable, "-m", "kauffman.cli", *argv],
                             stdout=subprocess.PIPE, stderr=subprocess.PIPE,
                             env={**os.environ, "PYTHONPATH": src})
-    first = proc.stdout.readline()
+    svg = argv[0] == "render"
+    first = proc.stdout.read(4096) if svg else proc.stdout.readline()
     proc.stdout.close()
     _, err = proc.communicate(timeout=120)
     assert (proc.returncode, err) == (EXIT_CLOSED_PIPE, b"")
-    assert first.endswith(b"\n")
+    if svg:
+        assert len(first) == 4096 and first.startswith(b"<svg") and b"\n" not in first
+    else:
+        assert first.endswith(b"\n")
 
 
 def test_diagram_json(capsys):
@@ -365,7 +371,7 @@ def test_outputs_index_the_partner_map_and_never_derive_pairs(capsys, monkeypatc
     diagrams = [delta(parse(text, n)) for text, n in texts] + list(enumerate_pairings(5))
     for d in diagrams:
         assert to_json_dict(d)["pairs"] == [list(p) for p in d.pairs]
-        assert _split(d) == _split_of_pairs(d)
+        assert tuple(map(list, _split(d))) == _split_of_pairs(d)
     formats = [(f, labels) for f in ("svg", "ascii") for labels in (False, True)]
     argvs = [["diagram", "-n", str(n), text] for text, n in texts] + [
         ["render", "-n", str(n), text, "--format", f] + ["--labels"] * labels
@@ -654,14 +660,54 @@ def test_render_svg(capsys):
     assert out.startswith("<svg")
 
 
+def _cli_svg(argv) -> str:
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(["render", *argv])
+    assert (code, err.getvalue()) == (0, ""), argv
+    return out.getvalue()
+
+
+@settings(max_examples=150, deadline=None)
+@given(terms_st(max_n=40, max_len=60), st.none() | st.floats(0.001, 1e6), st.booleans())
+def test_cli_svg_is_the_library_svg(t, unit, labels):
+    argv = ["-n", str(t.n), format_term(t)] + ["--unit", repr(unit)] * (unit is not None)
+    assert _cli_svg(argv + ["--labels"] * labels) == render(delta(t), "svg", unit, labels) + "\n"
+
+
+@pytest.mark.parametrize("pieces", [WRITE_CHUNK - 1, WRITE_CHUNK, WRITE_CHUNK + 1,
+                                    2 * WRITE_CHUNK, 2 * WRITE_CHUNK + 1])
+def test_cli_svg_is_the_library_svg_at_each_chunk_boundary(pieces):
+    """Drawings of exactly `pieces` elements, so that a write ends at, before or after the last."""
+    # the opening tags, one element per thread and per circle, "</g>" and "</svg>": n + 3 plus
+    # the circles; labels add an opening tag, one piece per strand and "</g>"
+    half, odd = divmod(pieces - 5, 2)
+    drawings = [(pieces - 3, "h1", False, None), (3, f"h1 c^{pieces - 11}", True, None),
+                (2, f"c^{pieces - 5}", False, 7.5), (half, "h1" + " c" * odd, True, 0.5)]
+    for n, text, labels, unit in drawings:
+        d = delta(parse(text, n))
+        assert len(list(render_pieces(d, "svg", unit, labels))) == pieces
+        argv = ["-n", str(n), text] + ["--labels"] * labels + ["--unit", str(unit)] * bool(unit)
+        assert _cli_svg(argv) == render(d, "svg", unit, labels) + "\n"
+
+
+@pytest.mark.parametrize("unit", ["1e308", "nan"])
+def test_a_refused_svg_writes_nothing(capsys, unit):
+    for n in ("3", "2000"):
+        code, out, err = run(capsys, "render", "-n", n, "h1", "--labels", "--unit", unit)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ")
+
+
 @pytest.mark.parametrize("argv", [("render", "-n", "30000", "--labels", "h1"),
                                   ("render", "-n", "3", "c^100000")],
                          ids=["wide", "many-circles"])
 def test_render_svg_of_a_large_drawing_stays_in_bounded_memory(capsys, argv):
-    # about 4 MB of svg each; 30 MB holds the diagram and the text, not an element tree
+    # about 4 MB of svg each, written in chunks: traced peaks of 6.8 and 4.4 MB, where holding
+    # the element list and the joined text as well took 17.0 and 14.3 MB
     code, out, peak = traced_run(capsys, *argv)
     assert code == 0
-    assert peak < 30_000_000, peak
+    assert peak < 10_000_000, peak
     if argv[2] == "30000":
         tags = Counter(node.tag.rsplit("}", 1)[-1] for node in ET.fromstring(out).iter())
         assert [tags[t] for t in ("line", "path", "circle", "text")] == [29998, 2, 0, 60000]

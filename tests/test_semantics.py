@@ -498,7 +498,7 @@ def test_delta_and_compose_hold_only_the_flat_partner_map():
     # them: 16.8 MiB for the JSON pairs and 18.2 MiB for the drawing's split when they read it
     obj, _, peak = _traced(to_json_dict, d)
     assert peak < 14 * 2**20, peak
-    (cups, caps, trans), _, peak = _traced(_split, d)
+    (cups, caps, trans), _, peak = _traced(lambda d: [*map(list, _split(d))], d)
     assert peak < 13 * 2**20, peak
     assert (cups, caps, len(trans)) == ([(1, 2)], [(1, 2)], 10**5 - 2)
     rebuilt, held, _ = _traced(from_json_dict, obj)
