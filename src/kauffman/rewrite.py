@@ -34,8 +34,13 @@ that run, then moves the circle with one splice.  `normalize` collects
 the stream into a `NormalizationTrace`.  `normal_form` drains the same
 kernel without trace: circles are central (h^[i,j] c = c h^[i,j]), so
 it counts the circles of the input and of every hcII as an integer and
-rewrites only the blocks, and never fires hcI.  A step costs O(1) plus
-its list splice, and an hcI run of k steps one splice of k + 2 entries.
+rewrites only the blocks, and never fires hcI.  Its leftmost scan moves
+a block's whole hI run at once, with one bisect and one splice, and then
+skips the pairs that the move leaves known clean, so it classifies O(L)
+pairs on the descending runs (h_{n-1} h_{n-3} ... h_1)^4, which take
+about L^2 / 8 hI swaps step by step.  A step costs O(1) plus its list
+splice, and an hcI or hI run of k steps one splice of about k entries.
+Trace mode and the rightmost scan fire hI step by step.
 
 The word problem is decided by the diagram route
 (`semantics.nf_by_diagram`) for most words; this module is the reference
@@ -48,9 +53,11 @@ returns the normal-form word itself.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 # collections.abc's Generator, renamed: here a Generator is a generator of the monoid
 from collections.abc import Generator as Stream
 from dataclasses import dataclass
+from operator import attrgetter
 from typing import NamedTuple
 
 from .syntax import format_word
@@ -72,6 +79,7 @@ class RewriteStep(NamedTuple):
     after: tuple[Generator, ...]
 
 
+_lower = attrgetter("lower")
 _new = tuple.__new__  # _new(RewriteStep, fields) skips RewriteStep's Python-level __new__
 
 
@@ -175,7 +183,20 @@ def _reduce(word: list[Generator], strategy: str,
 
     Without trace (`normal_form`) the word holds no circle and gets none:
     each hcII adds one to a count instead, which is returned when no
-    redex remains, and nothing is yielded.
+    redex remains, and nothing is yielded.  When its leftmost scan fires
+    hI at p, word[:p + 1] is a normal form, so its lower indices increase
+    strictly, and y = word[p + 1] moves left by hI past exactly the
+    suffix whose lower indices are at least y.upper + 2 (hI's condition
+    in `_classify`).  One bisect finds that suffix and one splice puts y
+    in front of it, the swaps of hI's `_rhs`: a run of k steps costs
+    O(log p) Python work and a C-level copy of k entries.  y is clean
+    against the suffix and the suffix against itself, so the pairs
+    lo .. hi - 1 from y to the old word[p] are known clean: the scan
+    backs up to the pair left of y and jumps from lo to hi when it gets
+    there.  A firing left of lo shifts the interval with the word and
+    drops from it the pairs that the firing changed.  Trace mode and the
+    rightmost scan fire hI step by step, so every step stream stays the
+    rescan's.
     """
     if strategy not in STRATEGIES:
         raise DomainError(f"unknown strategy {strategy!r}, expected one of {STRATEGIES}")
@@ -183,18 +204,34 @@ def _reduce(word: list[Generator], strategy: str,
     circles = 0  # the circles that hcII closes, without trace
     last = len(word) - 2  # position of the last pair, refreshed after each firing
     p = 0 if step == 1 else last
+    lo = hi = 0  # the pairs lo .. hi - 1 are known clean: the scan jumps from lo to hi
     while 0 <= p <= last:
         x, y = word[p], word[p + 1]
         tag = _classify(x, y)
         if tag is None:
             p += step
+            if p == lo:
+                p = hi
             continue
         if not trace:
+            if tag == "hI" and step == 1:
+                # y passes the suffix of the normal form word[:p + 1] whose lower
+                # indices are at least y.upper + 2; x = word[p] is in it
+                s = bisect_left(word, y.upper + 2, 0, p, key=_lower)
+                word[s + 1:p + 2] = word[s:p + 1]
+                word[s] = y
+                lo, hi = s, p + 1
+                p = s - 1 if s else hi
+                continue
             rhs = _rhs(x, y, tag)
             if tag == "hcII":
                 circles += 1
                 rhs = rhs[1:]
             word[p:p + 2] = rhs
+            if lo < hi:  # the pairs from p - 1 to p + len(rhs) - 1 changed, the rest moved
+                shift = len(rhs) - 2
+                hi += shift
+                lo = min(max(lo + shift, p + len(rhs)), hi)
             p -= step
         else:
             q = p  # where the step fires; along an hcI run it moves left, unspliced

@@ -120,7 +120,10 @@ CHECKS: tuple[tuple[str, Callable[[], None]], ...] = (
 )
 
 
-def run(out: TextIO = sys.stdout) -> bool:
+def run(out: TextIO | None = None) -> bool:
+    """Run every check, printing one line each to `out` (sys.stdout at the call)."""
+    if out is None:
+        out = sys.stdout
     ok = True
     for name, check in CHECKS:
         try:

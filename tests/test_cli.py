@@ -34,7 +34,7 @@ from kauffman import (
     rewrite,
     to_json_dict,
 )
-from kauffman import cli
+from kauffman import cli, selftest
 from kauffman.cli import EXIT_CLOSED_PIPE, WRITE_CHUNK, main
 from kauffman.draw import _split, render_ascii, render_pieces
 from kauffman.selftest import random_term
@@ -879,6 +879,15 @@ def test_selftest(capsys):
     code, out, _ = run(capsys, "selftest")
     assert code == 0
     assert all(line.startswith("ok") for line in out.strip().splitlines())
+
+
+def test_selftest_writes_to_the_stdout_of_the_call():
+    out = io.StringIO()
+    with redirect_stdout(out):
+        code = main(["selftest"])
+    assert code == 0
+    assert len(selftest.CHECKS) == 7
+    assert out.getvalue() == "".join(f"ok   {name}\n" for name, _ in selftest.CHECKS)
 
 
 def test_selftest_reports_failures_under_optimize():

@@ -187,6 +187,25 @@ def test_normal_form_counts_circles_instead_of_moving_them(monkeypatch):
     assert trace.output == nf
 
 
+def test_normal_form_classifies_linearly_many_pairs_on_descending_runs(monkeypatch):
+    """(h_{n-1} h_{n-3} ... h_1)^4 at n = 4096, L = 8192 factors, takes about n^2 / 2
+    hI swaps step by step; normal_form moves each hI run at once, skips the pairs
+    the move leaves clean and classifies at most 4 L pairs."""
+    n = 4096
+    t = Term(n, tuple(Block(i, i) for i in range(n - 1, 0, -2)) * 4)
+    calls, classify = 0, rewrite._classify
+
+    def counting(x, y):
+        nonlocal calls
+        calls += 1
+        return classify(x, y)
+
+    monkeypatch.setattr(rewrite, "_classify", counting)
+    nf = normal_form(t)
+    assert calls <= 4 * len(t.word), calls
+    assert nf == JonesNF(n, 3 * n // 2, tuple((i, i) for i in range(1, n, 2)))
+
+
 @settings(max_examples=150)
 @given(terms_st(max_n=40, max_len=30))
 def test_trace_measures_strictly_decrease(t):

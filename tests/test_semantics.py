@@ -29,6 +29,7 @@ from kauffman import (
     normalize,
     parse,
     peel,
+    rewrite_steps,
     slope_points,
     span,
     to_json_dict,
@@ -39,8 +40,9 @@ from kauffman.draw import _split
 from kauffman.semantics import DIAGRAM_ROUTE_WIDTH, _first_crossed, _rewire, _stack, delta_block
 from kauffman.syntax import MAX_WORD_LENGTH
 
-from helpers import (compose_fold, diapsis_diagram, expand, identity, normal_forms_st,
-                     nested, peel_states, random_pairing, side_by_side, staircase, terms_st)
+from helpers import (compose_fold, diapsis_diagram, expand, generators_st, identity,
+                     naive_leftmost_steps, nested, normal_forms_st, peel_states, random_pairing,
+                     side_by_side, staircase, terms_st)
 
 WORKED_EXAMPLE = "c^6 h[3,1] h[4,4] h[7,7] h[9,8] h[10,9]"
 
@@ -198,7 +200,8 @@ def test_nf_by_diagram_matches_rewriting(t):
 
 
 def _descending_runs(n: int) -> Term:
-    """(h_{n-1} h_{n-3} ... h_1)^4, whose hI swaps grow about quadratically."""
+    """(h_{n-1} h_{n-3} ... h_1)^4: about n^2 / 2 hI swaps step by step, which
+    `normal_form` moves a run at a time, each with one bisect and one splice."""
     run = tuple(Block(i, i) for i in range(n - 1, 0, -2))
     return Term(n, run * 4)
 
@@ -208,11 +211,54 @@ def _wide_blocks(n: int) -> Term:
     return Term(n, (Block(n - 1, 1),) * 50)
 
 
+def _traced_nf(t: Term) -> JonesNF:
+    """The normal form at the end of `rewrite_steps`, dropping each step as it comes."""
+    steps = rewrite_steps(t)
+    try:
+        while True:
+            next(steps)
+    except StopIteration as done:
+        return done.value
+
+
 @pytest.mark.parametrize("family", [_descending_runs, _wide_blocks])
 def test_nf_by_diagram_matches_rewriting_on_adversarial_families(family):
-    t = family(64)
-    assert nf_by_diagram(t) == normal_form(t) == normalize(t).output
+    t = family(1024)
+    assert nf_by_diagram(t) == normal_form(t) == _traced_nf(t)
     assert nf_by_diagram(t) == diagram_to_nf(delta(t)) == decide_nf(t)
+
+
+@st.composite
+def _run_words(draw):
+    """Words of K_n, n <= 16, made of segments: descending runs of diapsides, whose
+    blocks move left in hI runs, wide blocks, circles and random generators."""
+    n = draw(st.integers(2, 16))
+    index = st.integers(1, n - 1)
+    word: list = []
+    for _ in range(draw(st.integers(1, 8))):
+        kind = draw(st.sampled_from(["descending", "wide", "circles", "random"]))
+        if kind == "descending":
+            top, gap = draw(index), draw(st.integers(2, 4))
+            word.extend(Block(i, i) for i in range(top, 0, -gap))
+        elif kind == "wide":
+            b, a = sorted(draw(st.tuples(index, index)), reverse=True)
+            word.extend([Block(b, a)] * draw(st.integers(1, 3)))
+        elif kind == "circles":
+            word.extend([CIRCLE] * draw(st.integers(1, 3)))
+        else:
+            word.extend(draw(st.lists(generators_st(n), max_size=6)))
+    return Term(n, tuple(word))
+
+
+@settings(max_examples=300)
+@given(_run_words())
+def test_normal_form_matches_the_diagram_and_a_full_rescan(t):
+    """`normal_form` moves each hI run at once and skips the pairs it leaves clean;
+    the diagram and the step-by-step rescan of the whole word reach its answer."""
+    _, final = naive_leftmost_steps(t)
+    nf = normal_form(t)
+    assert nf == nf_by_diagram(t)
+    assert nf_to_term(nf) == final
 
 
 def _refuse(*args):
