@@ -25,7 +25,6 @@ from .enumeration import (
     parenword_to_pairing,
 )
 from .rewrite import (
-    STRATEGIES,
     ConsistencyError,
     NormalizationTrace,
     RewriteStep,

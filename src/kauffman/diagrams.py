@@ -53,6 +53,8 @@ class Diagram:
 
     def __init__(self, n: int, pairs, circles: int = 0) -> None:
         try:
+            if not isinstance(pairs, (list, tuple)):
+                pairs = [*pairs]  # a one-shot iterable is read once, then walked as a list
             ends = [*chain.from_iterable(pairs)]
             if not {2}.issuperset(map(len, pairs)):
                 raise TypeError

@@ -28,19 +28,20 @@ place by `_rhs`; those two are the one rule table.  `rewrite_steps`
 hcI, as the system above defines them; the kernel checks the measure
 drop of every step from the fired pair alone and yields the step as it
 fires, so a caller that writes each step and drops it keeps O(L) memory
-however many steps there are.  In the leftmost scan, a circle that hcI
-moves crosses every block left of it: the kernel yields each step of
-that run, then moves the circle with one splice.  `normalize` collects
-the stream into a `NormalizationTrace`.  `normal_form` drains the same
-kernel without trace: circles are central (h^[i,j] c = c h^[i,j]), so
-it counts the circles of the input and of every hcII as an integer and
-rewrites only the blocks, and never fires hcI.  Its leftmost scan moves
-a block's whole hI run at once, with one bisect and one splice, and then
-skips the pairs that the move leaves known clean, so it classifies O(L)
-pairs on the descending runs (h_{n-1} h_{n-3} ... h_1)^4, which take
-about L^2 / 8 hI swaps step by step.  A step costs O(1) plus its list
-splice, and an hcI or hI run of k steps one splice of about k entries.
-Trace mode and the rightmost scan fire hI step by step.
+however many steps there are.  The kernel always fires the leftmost
+redex, so a circle that hcI moves crosses every block left of it: the
+kernel yields each step of that run, then moves the circle with one
+splice.  `normalize` collects the stream into a `NormalizationTrace`.
+`normal_form` drains the same kernel without trace: circles are central
+(h^[i,j] c = c h^[i,j]), so it counts the circles of the input and of
+every hcII as an integer and rewrites only the blocks, and never fires
+hcI.  It moves a block's whole hI run at once, with one bisect and one
+splice, and then skips the pairs that the move leaves known clean, so it
+classifies O(L) pairs on the descending runs (h_{n-1} h_{n-3} ... h_1)^4,
+which take about L^2 / 8 hI swaps step by step.  A step costs O(1) plus
+its list splice, and an hcI or hI run of k steps one splice of about k
+entries.  Trace mode fires hI step by step.  The normal form is unique,
+so one scan order serves: any other reaches the same answer.
 
 The word problem is decided by the diagram route
 (`semantics.nf_by_diagram`) for most words; this module is the reference
@@ -61,9 +62,7 @@ from operator import attrgetter
 from typing import NamedTuple
 
 from .syntax import format_word
-from .terms import CIRCLE, Block, Circle, DomainError, Generator, JonesNF, Term, measure_word
-
-STRATEGIES = ("leftmost", "rightmost")
+from .terms import CIRCLE, Block, Circle, Generator, JonesNF, Term, measure_word
 
 
 class ConsistencyError(RuntimeError):
@@ -148,15 +147,14 @@ def _pack(n: int, word: list[Generator]) -> JonesNF:
     return JonesNF(n, circles, tuple(blocks))
 
 
-def _reduce(word: list[Generator], strategy: str,
-            trace: bool = False) -> Stream[RewriteStep, None, int]:
-    """Fire the redexes of `word` in place, in scan order, until none remains.
+def _reduce(word: list[Generator], trace: bool = False) -> Stream[RewriteStep, None, int]:
+    """Fire the leftmost redex of `word` in place until none remains.
 
-    The one rewriting kernel.  The cursor moves by `step`, +1 for leftmost
-    and -1 for rightmost; it classifies each pair it reaches by
-    `_classify` and replaces a redex in `word` by its `_rhs`.  Rules
-    change the word locally, so after a firing the cursor backs up one
-    position only, and scanning costs amortized O(1) per step.
+    The one rewriting kernel.  The cursor moves left to right; it
+    classifies each pair it reaches by `_classify` and replaces a redex
+    in `word` by its `_rhs`.  Rules change the word locally, so after a
+    firing the cursor backs up one position only, and scanning costs
+    amortized O(1) per step.
 
     In trace mode (`rewrite_steps`) the circles stay in the word, and
     each step is checked to decrease the measure, then yielded as a
@@ -173,9 +171,9 @@ def _reduce(word: list[Generator], strategy: str,
     step that fails the check raises ConsistencyError before it is
     yielded.
 
-    When the leftmost scan fires hcI at p, no pair left of p is a redex,
-    so word[:p + 1] is circles, then blocks, and the circle moves on by
-    hcI past every one of those blocks.  The kernel yields that whole run
+    When the scan fires hcI at p, no pair left of p is a redex, so
+    word[:p + 1] is circles, then blocks, and the circle moves on by hcI
+    past every one of those blocks.  The kernel yields that whole run
     step by step, each step through `_rhs` and the check, then moves the
     circle with one splice and resumes the scan at p + 1.  A step of the
     run whose right-hand side is not the swap (c, x) of its pair ends the
@@ -183,8 +181,8 @@ def _reduce(word: list[Generator], strategy: str,
 
     Without trace (`normal_form`) the word holds no circle and gets none:
     each hcII adds one to a count instead, which is returned when no
-    redex remains, and nothing is yielded.  When its leftmost scan fires
-    hI at p, word[:p + 1] is a normal form, so its lower indices increase
+    redex remains, and nothing is yielded.  When the scan fires hI at p,
+    word[:p + 1] is a normal form, so its lower indices increase
     strictly, and y = word[p + 1] moves left by hI past exactly the
     suffix whose lower indices are at least y.upper + 2 (hI's condition
     in `_classify`).  One bisect finds that suffix and one splice puts y
@@ -194,27 +192,22 @@ def _reduce(word: list[Generator], strategy: str,
     lo .. hi - 1 from y to the old word[p] are known clean: the scan
     backs up to the pair left of y and jumps from lo to hi when it gets
     there.  A firing left of lo shifts the interval with the word and
-    drops from it the pairs that the firing changed.  Trace mode and the
-    rightmost scan fire hI step by step, so every step stream stays the
-    rescan's.
+    drops from it the pairs that the firing changed.  Trace mode fires hI
+    step by step, so its stream has every step.
     """
-    if strategy not in STRATEGIES:
-        raise DomainError(f"unknown strategy {strategy!r}, expected one of {STRATEGIES}")
-    step = 1 if strategy == "leftmost" else -1
     circles = 0  # the circles that hcII closes, without trace
     last = len(word) - 2  # position of the last pair, refreshed after each firing
-    p = 0 if step == 1 else last
-    lo = hi = 0  # the pairs lo .. hi - 1 are known clean: the scan jumps from lo to hi
-    while 0 <= p <= last:
+    p = lo = hi = 0  # the pairs lo .. hi - 1 are known clean: the scan jumps from lo to hi
+    while p <= last:
         x, y = word[p], word[p + 1]
         tag = _classify(x, y)
         if tag is None:
-            p += step
+            p += 1
             if p == lo:
                 p = hi
             continue
         if not trace:
-            if tag == "hI" and step == 1:
+            if tag == "hI":
                 # y passes the suffix of the normal form word[:p + 1] whose lower
                 # indices are at least y.upper + 2; x = word[p] is in it
                 s = bisect_left(word, y.upper + 2, 0, p, key=_lower)
@@ -232,7 +225,7 @@ def _reduce(word: list[Generator], strategy: str,
                 shift = len(rhs) - 2
                 hi += shift
                 lo = min(max(lo + shift, p + len(rhs)), hi)
-            p -= step
+            p -= 1
         else:
             q = p  # where the step fires; along an hcI run it moves left, unspliced
             while True:
@@ -253,8 +246,8 @@ def _reduce(word: list[Generator], strategy: str,
                     raise ConsistencyError(f"measure did not decrease for {tag} at {q}: "
                                            f"pair {tuple(before)} -> {tuple(after)}")
                 yield _new(RewriteStep, (tag, q, (x, y), rhs))
-                if not swap or tag != "hcI" or step < 0:
-                    resume = q - step
+                if not swap or tag != "hcI":
+                    resume = q - 1
                     break
                 if q == 0 or not isinstance(word[q - 1], Block):
                     resume = p + 1  # the circle has passed every block: no redex left of p + 1
@@ -270,12 +263,10 @@ def _reduce(word: list[Generator], strategy: str,
         last = len(word) - 2
         if p < 0:
             p = 0
-        elif p > last:
-            p = last
     return circles
 
 
-def rewrite_steps(t: Term, strategy: str = "leftmost") -> Stream[RewriteStep, None, JonesNF]:
+def rewrite_steps(t: Term) -> Stream[RewriteStep, None, JonesNF]:
     """Yield every rewrite step as it fires; return the Jones normal form.
 
     Circles stay in the word, so the stream has every hcI step of the
@@ -284,13 +275,13 @@ def rewrite_steps(t: Term, strategy: str = "leftmost") -> Stream[RewriteStep, No
     yielded (see `_reduce`).
     """
     word = list(t.word)
-    yield from _reduce(word, strategy, True)
+    yield from _reduce(word, True)
     return _pack(t.n, word)
 
 
-def normalize(t: Term, strategy: str = "leftmost") -> NormalizationTrace:
+def normalize(t: Term) -> NormalizationTrace:
     """Reduce to Jones normal form, keeping every step of `rewrite_steps`."""
-    stream = rewrite_steps(t, strategy)
+    stream = rewrite_steps(t)
     steps: list[RewriteStep] = []
     try:
         while True:
@@ -299,7 +290,7 @@ def normalize(t: Term, strategy: str = "leftmost") -> NormalizationTrace:
         return NormalizationTrace(t, tuple(steps), done.value)
 
 
-def normal_form(t: Term, strategy: str = "leftmost") -> JonesNF:
+def normal_form(t: Term) -> JonesNF:
     """Reduce to Jones normal form without recording a trace.
 
     Circles are central, so they are stripped from the input and counted,
@@ -310,7 +301,7 @@ def normal_form(t: Term, strategy: str = "leftmost") -> JonesNF:
     word = [g for g in t.word if isinstance(g, Block)]
     circles = len(t.word) - len(word)
     try:
-        next(_reduce(word, strategy))  # yields nothing without trace
+        next(_reduce(word))  # yields nothing without trace
     except StopIteration as done:
         circles += done.value
     return JonesNF(t.n, circles, tuple((g.upper, g.lower) for g in word))

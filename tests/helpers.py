@@ -1,11 +1,12 @@
 """Shared generators and independent oracles for the test suite.
 
-The naive stepper (`find_redex`, `apply_rule`), `expand`, `identity`,
-the hand-built `diapsis_diagram` and the generator-by-generator
-`format_word_reference` are used by the tests only, so they live here
-rather than in the package.  So is `render_svg_reference`, the SVG
-writer that builds an ElementTree and serializes it: the byte-for-byte
-reference for `render`'s text writer.
+The naive stepper (`find_redex`, `apply_rule`), the full rescans
+(`naive_leftmost_steps`, and `naive_rightmost_steps`, the only rightmost
+reduction), `expand`, `identity`, the hand-built `diapsis_diagram` and
+the generator-by-generator `format_word_reference` are used by the
+tests only, so they live here rather than in the package.  So is
+`render_svg_reference`, the SVG writer that builds an ElementTree and
+serializes it: the byte-for-byte reference for `render`'s text writer.
 """
 
 from __future__ import annotations
@@ -66,16 +67,18 @@ def expand(t: Term) -> Term:
     return Term(t.n, tuple(word))
 
 
-def find_redex(t: Term, strategy: str = "leftmost") -> tuple[int, str] | None:
-    """Position and rule of the leftmost redex (the rightmost one for
-    strategy "rightmost"), or None for a normal form."""
-    word = t.word
-    positions = range(len(word) - 1)
-    for p in positions if strategy == "leftmost" else reversed(positions):
+def _first_redex(word, positions) -> tuple[int, str] | None:
+    """Position and rule of the first redex met at `positions`, in their order."""
+    for p in positions:
         tag = _classify(word[p], word[p + 1])
         if tag is not None:
             return p, tag
     return None
+
+
+def find_redex(t: Term) -> tuple[int, str] | None:
+    """Position and rule of the leftmost redex, or None for a normal form."""
+    return _first_redex(t.word, range(len(t.word) - 1))
 
 
 def apply_rule(t: Term, position: int, rule: str) -> Term:
@@ -412,34 +415,37 @@ def random_pairing(rng: random.Random, n: int, circles: int) -> Diagram:
     return Diagram(n, parenword_to_pairing(word, n).pairs, circles)
 
 
-def _naive_steps(t: Term, strategy: str):
+def _naive_steps(t: Term, rightmost: bool):
     """Reference reduction: rescan the whole word after every firing.
 
-    Returns the steps, each (rule, position, before, after) as in a
-    RewriteStep, and the final term.
+    The word is a plain list: each redex is found by `_classify`, fired
+    by `_rhs`, and one Term is built from the final word.  Returns the
+    steps, each (rule, position, before, after) as in a RewriteStep, and
+    the final term.
     """
+    word = list(t.word)
     steps = []
-    current = t
     while True:
-        redex = find_redex(current, strategy)
+        positions = range(len(word) - 1)
+        redex = _first_redex(word, reversed(positions) if rightmost else positions)
         if redex is None:
-            return steps, current
+            return steps, Term(t.n, tuple(word))
         position, rule = redex
-        fired = apply_rule(current, position, rule)
-        width = len(fired.word) - len(current.word) + 2  # of the right-hand side
-        steps.append((rule, position, current.word[position:position + 2],
-                      fired.word[position:position + width]))
-        current = fired
+        before = (word[position], word[position + 1])
+        after = tuple(_rhs(*before, rule))
+        word[position:position + 2] = after
+        steps.append((rule, position, before, after))
 
 
 def naive_leftmost_steps(t: Term):
     """Reference reduction: rescan from the left after every firing."""
-    return _naive_steps(t, "leftmost")
+    return _naive_steps(t, False)
 
 
 def naive_rightmost_steps(t: Term):
-    """Reference reduction: rescan from the right after every firing."""
-    return _naive_steps(t, "rightmost")
+    """Reference reduction: rescan from the right after every firing, the only
+    rightmost reduction there is; the package's kernel fires leftmost."""
+    return _naive_steps(t, True)
 
 
 def replay(trace) -> list[Term]:

@@ -39,7 +39,7 @@ from kauffman.cli import EXIT_CLOSED_PIPE, WRITE_CHUNK, main
 from kauffman.draw import _split, render_ascii, render_pieces
 from kauffman.selftest import random_term
 
-from helpers import nested, side_by_side, staircase, terms_st
+from helpers import naive_rightmost_steps, nested, side_by_side, staircase, terms_st
 
 WORKED_EXAMPLE = "c^6 h[3,1] h[4,4] h[7,7] h[9,8] h[10,9]"
 
@@ -213,8 +213,8 @@ c^6 h[3,1] h4 h7 h[9,8] h[10,9]
 
 
 def test_rightmost_trace_of_the_worked_scramble():
-    trace = normalize(parse(WORKED_SCRAMBLE, 11), "rightmost")
-    lines = [format_step(s) for s in trace.steps] + [format_term(nf_to_term(trace.output))]
+    steps, final = naive_rightmost_steps(parse(WORKED_SCRAMBLE, 11))
+    lines = [format_step(s) for s in steps] + [format_term(final)]
     assert "".join(line + "\n" for line in lines) == WORKED_SCRAMBLE_RIGHTMOST_TRACE
 
 
@@ -420,7 +420,7 @@ def test_term_of_slope_and_peel_agree(capsys, monkeypatch):
 
 
 def test_term_of_peel_does_no_rewriting(capsys, monkeypatch):
-    def no_rewriting(word, strategy):
+    def no_rewriting(word, trace=False):
         raise AssertionError("term-of --method peel rewrote a word")
 
     blobs = [json.dumps(to_json_dict(delta(parse(WORKED_EXAMPLE, 11)))),

@@ -175,6 +175,15 @@ def test_diagram_refuses_a_pair_that_is_not_a_sequence():
         Diagram(1, (1,))
 
 
+def test_diagram_reads_a_one_shot_iterable_of_pairs_once():
+    expected = Diagram(3, ((-1, 1), (-2, 2), (-3, 3)))
+    pairs = [(-1, 1), (-2, 2), (-3, 3)]
+    for once in [((-i, i) for i in range(1, 4)), iter(pairs), map(tuple, map(list, pairs))]:
+        assert Diagram(3, once) == expected
+    with pytest.raises(DomainError, match="crossing"):
+        Diagram(2, iter(((1, -2), (2, -1))))
+
+
 def test_equivalence_is_structural_equality():
     h = diapsis_diagram(3, 1)
     assert h == diapsis_diagram(3, 1)

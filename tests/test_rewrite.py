@@ -11,8 +11,9 @@ from kauffman import (
     Block,
     Circle,
     ConsistencyError,
-    DomainError,
     JonesNF,
+    NormalizationTrace,
+    RewriteStep,
     Term,
     delta,
     format_step,
@@ -24,7 +25,6 @@ from kauffman import (
     rewrite,
     rewrite_steps,
 )
-from kauffman.rewrite import STRATEGIES
 
 import helpers
 from helpers import (apply_rule, circle_runs_st, find_redex, is_jones_shape, naive_leftmost_steps,
@@ -210,10 +210,11 @@ def test_normal_form_classifies_linearly_many_pairs_on_descending_runs(monkeypat
 @given(terms_st(max_n=40, max_len=30))
 def test_trace_measures_strictly_decrease(t):
     """Recounted from the definition, the measure drops at every step of
-    both scan orders, on wide blocks over many strands and with circles
-    anywhere."""
-    for strategy in STRATEGIES:
-        measures = [measure_word(term.word) for term in replay(normalize(t, strategy))]
+    the kernel's leftmost reduction and of the rightmost rescan, on wide
+    blocks over many strands and with circles anywhere."""
+    rightmost = tuple(RewriteStep(*step) for step in naive_rightmost_steps(t)[0])
+    for trace in (normalize(t), NormalizationTrace(t, rightmost, normal_form(t))):
+        measures = [measure_word(term.word) for term in replay(trace)]
         for before, after in zip(measures, measures[1:]):
             assert after < before
 
@@ -277,15 +278,14 @@ def test_step_check_agrees_with_measure_word_on_every_pair_and_mutant(monkeypatc
 @settings(max_examples=150)
 @given(terms_st(max_n=40, max_len=30))
 def test_rewrite_steps_streams_the_trace_then_returns_the_normal_form(t):
-    for strategy in STRATEGIES:
-        trace = normalize(t, strategy)
-        assert tuple(rewrite_steps(t, strategy)) == trace.steps
-        stream = rewrite_steps(t, strategy)
-        for _ in trace.steps:
-            next(stream)
-        with pytest.raises(StopIteration) as done:
-            next(stream)
-        assert done.value.value == trace.output
+    trace = normalize(t)
+    assert tuple(rewrite_steps(t)) == trace.steps
+    stream = rewrite_steps(t)
+    for _ in trace.steps:
+        next(stream)
+    with pytest.raises(StopIteration) as done:
+        next(stream)
+    assert done.value.value == trace.output
 
 
 @settings(max_examples=100)
@@ -297,12 +297,12 @@ def test_cursor_scan_matches_naive_leftmost(t):
     assert final == nf_to_term(trace.output)
 
 
-def assert_streams_the_rescan(t, strategy, naive):
-    """`rewrite_steps` yields the steps of `naive`, rule, position, before and
-    after, one at a time, then returns its final word's normal form.
-    Returns those steps."""
-    steps, final = naive(t)
-    stream = rewrite_steps(t, strategy)
+def assert_streams_the_rescan(t):
+    """`rewrite_steps` yields the steps of the leftmost rescan, rule, position,
+    before and after, one at a time, then returns its final word's normal
+    form.  Returns those steps."""
+    steps, final = naive_leftmost_steps(t)
+    stream = rewrite_steps(t)
     for expected in steps:
         assert next(stream) == expected
     with pytest.raises(StopIteration) as done:
@@ -314,11 +314,13 @@ def assert_streams_the_rescan(t, strategy, naive):
 @settings(max_examples=200)
 @given(st.one_of(circle_runs_st(max_n=40), terms_st(max_n=40, max_len=30)))
 def test_both_scan_orders_match_a_full_rescan_step_by_step(t):
-    """Block runs with circles after them and between them: the leftmost
-    kernel moves each circle past its blocks in one run, and both orders
-    still fire exactly the redex that rescanning the whole word finds."""
-    assert_streams_the_rescan(t, "leftmost", naive_leftmost_steps)
-    assert_streams_the_rescan(t, "rightmost", naive_rightmost_steps)
+    """Block runs with circles after them and between them: the kernel moves
+    each circle past its blocks in one run and still fires exactly the redex
+    that rescanning the whole word from the left finds; rescanning from the
+    right, step by step, reaches the same normal form."""
+    assert_streams_the_rescan(t)
+    _, final = naive_rightmost_steps(t)
+    assert final == nf_to_term(normal_form(t))
 
 
 def empties_an_hcI(rhs, emptied_call):
@@ -344,23 +346,18 @@ def test_an_emptied_hcI_step_inside_a_run_fires_as_in_the_rescan(monkeypatch, em
     t = parse("h1 h2 h3 h4 h5 h6 c^2 h2 h4 c", 7)
     monkeypatch.setattr(helpers, "_rhs", empties_an_hcI(rewrite._rhs, emptied_call))
     monkeypatch.setattr(rewrite, "_rhs", empties_an_hcI(rewrite._rhs, emptied_call))
-    steps = assert_streams_the_rescan(t, "leftmost", naive_leftmost_steps)
+    steps = assert_streams_the_rescan(t)
     assert [rule for rule, _, _, after in steps if after == ()] == ["hcI"]
 
 
 @settings(max_examples=150)
 @given(terms_st(max_n=7, max_len=14))
 def test_strategies_reach_the_same_normal_form(t):
-    assert normal_form(t, "leftmost") == normal_form(t, "rightmost")
-
-
-def test_unknown_strategy_rejected():
-    with pytest.raises(DomainError):
-        normal_form(Term(2), "innermost")
-    with pytest.raises(DomainError):
-        normalize(Term(3, (Block(1, 1),)), None)
-    with pytest.raises(DomainError):
-        next(rewrite_steps(Term(2), "x"))
+    """The kernel fires the leftmost redex; the rescan that fires the rightmost
+    one ends at the same normal form, in both of the kernel's modes."""
+    _, final = naive_rightmost_steps(t)
+    assert nf_to_term(normal_form(t)) == final
+    assert nf_to_term(normalize(t).output) == final
 
 
 def test_redex_free_iff_jones_shape_exhaustive():

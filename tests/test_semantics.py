@@ -41,8 +41,8 @@ from kauffman.semantics import DIAGRAM_ROUTE_WIDTH, _first_crossed, _rewire, _st
 from kauffman.syntax import MAX_WORD_LENGTH
 
 from helpers import (compose_fold, diapsis_diagram, expand, generators_st, identity,
-                     naive_leftmost_steps, nested, normal_forms_st, peel_states, random_pairing,
-                     side_by_side, staircase, terms_st)
+                     naive_leftmost_steps, naive_rightmost_steps, nested, normal_forms_st,
+                     peel_states, random_pairing, side_by_side, staircase, terms_st)
 
 WORKED_EXAMPLE = "c^6 h[3,1] h[4,4] h[7,7] h[9,8] h[10,9]"
 
@@ -254,11 +254,13 @@ def _run_words(draw):
 @given(_run_words())
 def test_normal_form_matches_the_diagram_and_a_full_rescan(t):
     """`normal_form` moves each hI run at once and skips the pairs it leaves clean;
-    the diagram and the step-by-step rescan of the whole word reach its answer."""
-    _, final = naive_leftmost_steps(t)
+    the diagram and the step-by-step rescans of the whole word, from the left and
+    from the right, reach its answer."""
     nf = normal_form(t)
     assert nf == nf_by_diagram(t)
-    assert nf_to_term(nf) == final
+    for naive in (naive_leftmost_steps, naive_rightmost_steps):
+        _, final = naive(t)
+        assert nf_to_term(nf) == final
 
 
 def _refuse(*args):
