@@ -149,19 +149,18 @@ def enumerate_terms(n: int, max_len: int) -> Iterator[Term]:
             for word in product(alphabet, repeat=length))
 
 
-def _block_sequences(n: int) -> Iterator[tuple[tuple[int, int], ...]]:
+def _block_sequences(n: int) -> Iterator[tuple[Block, ...]]:
     """Ascending block lists of K_n, in sorted order.
 
     A pre-order walk that visits children in (b, a) order: a list comes
     before its extensions, and extensions by a smaller last block first.
     """
 
-    def extend(seq: tuple[tuple[int, int], ...], last_b: int,
-               last_a: int) -> Iterator[tuple[tuple[int, int], ...]]:
+    def extend(seq: tuple[Block, ...], last_b: int, last_a: int) -> Iterator[tuple[Block, ...]]:
         yield seq
         for b in range(last_b + 1, n):
             for a in range(last_a + 1, b + 1):
-                yield from extend(seq + ((b, a),), b, a)
+                yield from extend(seq + (Block(b, a),), b, a)
 
     return extend((), 0, 0)
 

@@ -23,7 +23,9 @@ the empty word, so no rule eliminates units.
 
 One kernel, `_reduce`, does all the rewriting: it scans the word,
 classifies each pair it reaches by `_classify` and fires each redex in
-place by `_rhs`; those two are the one rule table.  `rewrite_steps`
+place by `_rhs`; those two are the one rule table.  A block is its pair
+(upper, lower): the table unpacks it and builds new blocks as tuples, and
+a normal form's blocks are the reduced word's own.  `rewrite_steps`
 (trace mode) keeps the circles in the word, so only its steps include
 hcI, as the system above defines them; the kernel checks the measure
 drop of every step from the fired pair alone and yields the step as it
@@ -58,11 +60,11 @@ from bisect import bisect_left
 # collections.abc's Generator, renamed: here a Generator is a generator of the monoid
 from collections.abc import Generator as Stream
 from dataclasses import dataclass
-from operator import attrgetter
+from operator import itemgetter
 from typing import NamedTuple
 
 from .syntax import format_word
-from .terms import CIRCLE, Block, Circle, Generator, JonesNF, Term, measure_word
+from .terms import CIRCLE, Block, Circle, DomainError, Generator, JonesNF, Term, measure_word
 
 
 class ConsistencyError(RuntimeError):
@@ -78,8 +80,8 @@ class RewriteStep(NamedTuple):
     after: tuple[Generator, ...]
 
 
-_lower = attrgetter("lower")
-_new = tuple.__new__  # _new(RewriteStep, fields) skips RewriteStep's Python-level __new__
+_lower = itemgetter(1)  # a block's lower index
+_new = tuple.__new__  # _new(Block, pair) and _new(RewriteStep, fields) skip the Python-level __new__
 
 
 @dataclass(frozen=True)
@@ -97,8 +99,8 @@ def _classify(x: Generator, y: Generator) -> str | None:
         return None
     if isinstance(y, Circle):
         return "hcI"
-    i, j = x.upper, x.lower
-    k, l = y.upper, y.lower
+    i, j = x
+    k, l = y
     if j >= k + 2:
         return "hI"
     if k == j:
@@ -120,18 +122,18 @@ def _rhs(x: Generator, y: Generator, rule: str) -> tuple[Generator, ...]:
         return (CIRCLE, x)
     if rule == "hI":
         return (y, x)
-    i, j = x.upper, x.lower
-    k, l = y.upper, y.lower
+    i, j = x
+    k, l = y
     if rule == "hII":
-        return (Block(i, l),)
+        return (_new(Block, (i, l)),)
     if rule == "hcII":
-        return (CIRCLE, Block(i, l))
+        return (CIRCLE, _new(Block, (i, l)))
     if rule == "hIII.1":
-        return (Block(k - 2, l), Block(i, j + 2))
+        return (_new(Block, (k - 2, l)), _new(Block, (i, j + 2)))
     if rule == "hIII.2":
-        return (Block(i, l), Block(k, j + 2))
+        return (_new(Block, (i, l)), _new(Block, (k, j + 2)))
     if rule == "hIII.3":
-        return (Block(k - 2, j), Block(i, l))
+        return (_new(Block, (k - 2, j)), _new(Block, (i, l)))
     raise ConsistencyError(f"unknown rule tag {rule!r}")
 
 
@@ -139,12 +141,10 @@ def _pack(n: int, word: list[Generator]) -> JonesNF:
     circles = 0
     while circles < len(word) and isinstance(word[circles], Circle):
         circles += 1
-    blocks = []
-    for g in word[circles:]:
-        if isinstance(g, Circle):
-            raise ConsistencyError("reduced word has a circle to the right of a block")
-        blocks.append((g.upper, g.lower))
-    return JonesNF(n, circles, tuple(blocks))
+    try:
+        return JonesNF(n, circles, word[circles:])
+    except DomainError as e:  # a circle right of a block, or a redex left
+        raise ConsistencyError(f"reduced word is not a normal form: {e}") from None
 
 
 def _reduce(word: list[Generator], trace: bool = False) -> Stream[RewriteStep, None, int]:
@@ -234,12 +234,15 @@ def _reduce(word: list[Generator], trace: bool = False) -> Stream[RewriteStep, N
                 swap = len(rhs) == 2 and rhs[0] is y and rhs[1] is x  # (y, x) itself
                 n1_drop = 0  # a swap keeps n1
                 if not swap:
-                    n1_drop = x.upper - x.lower + 2
+                    i, j = x
+                    n1_drop = i - j + 2
                     if y_block:
-                        n1_drop += y.upper - y.lower + 2
+                        k, l = y
+                        n1_drop += k - l + 2
                     for g in rhs:
                         if isinstance(g, Block):
-                            n1_drop -= g.upper - g.lower + 2
+                            b, a = g
+                            n1_drop -= b - a + 2
                 if n1_drop <= 0 and (not swap and rhs != (y, x)
                                      or y_block and (y.upper >= x.upper or y.lower >= x.lower)):
                     before, after = measure_word((x, y)), measure_word(rhs)
@@ -304,7 +307,7 @@ def normal_form(t: Term) -> JonesNF:
         next(_reduce(word))  # yields nothing without trace
     except StopIteration as done:
         circles += done.value
-    return JonesNF(t.n, circles, tuple((g.upper, g.lower) for g in word))
+    return JonesNF(t.n, circles, word)
 
 
 def format_step(step: RewriteStep) -> str:

@@ -124,8 +124,8 @@ def _rewire(t: Term, width: int = MAX_WORD_LENGTH) -> tuple[list[int] | _Mates, 
     n, word = t.n, t.word
     blocks = [g for g in word if isinstance(g, Block)]
     expanded = len(blocks)
-    for g in blocks:
-        expanded += g.upper - g.lower
+    for b, a in blocks:
+        expanded += b - a
     limit = min(width * len(blocks), MAX_WORD_LENGTH)
     if expanded > limit:
         raise DomainError(f"expanded word longer than {limit} diapsides")
@@ -134,8 +134,7 @@ def _rewire(t: Term, width: int = MAX_WORD_LENGTH) -> tuple[list[int] | _Mates, 
     else:
         mate = _Mates()
     circles = len(word) - len(blocks)  # the circle factors, then those the stacking closes
-    for g in blocks:
-        b, a = g.upper, g.lower
+    for b, a in blocks:
         if b == a:
             circles += _stack(mate, b)
         else:

@@ -8,10 +8,11 @@ The unit is the empty word: associativity and the unit laws make
 parentheses and explicit unit symbols redundant, so neither is ever
 represented.
 
-Canonical words c^l h^[b_1,a_1] ... h^[b_k,a_k] with a_1 < ... < a_k and
-b_1 < ... < b_k are Jones normal forms; `JonesNF` holds them in packed
-shape, and `Measure` is the lexicographic complexity measure that the
-rewrite engine drives to a minimum.
+A block is its pair (upper, lower) = (b, a): `Block` is a tuple.  Canonical
+words c^l h^[b_1,a_1] ... h^[b_k,a_k] with a_1 < ... < a_k and
+b_1 < ... < b_k are Jones normal forms; `JonesNF` holds the circle count
+and the word's blocks, and `Measure` is the lexicographic complexity
+measure that the rewrite engine drives to a minimum.
 """
 
 from __future__ import annotations
@@ -28,24 +29,21 @@ class _BlockText:
     """The canonical text of a block, "hi" for a diapsis and "h[b,a]" otherwise.
 
     Built on first use and kept in the block's __dict__, which shadows
-    this non-data descriptor from then on; no lock and no dataclass
-    field, so building and comparing blocks cost what they did.
+    this non-data descriptor from then on; no lock, and no tuple field,
+    so a block is built and compared as its (upper, lower) pair.
     """
 
     def __get__(self, block: Block | None, owner: type) -> str | _BlockText:
         if block is None:  # looked up on the class
             return self
-        b, a = block.upper, block.lower
+        b, a = block
         text = block.__dict__["text"] = f"h{b}" if b == a else f"h[{b},{a}]"
         return text
 
 
-@dataclass(frozen=True)
-class Block:
-    """The block generator h^[upper,lower]; a diapsis when upper == lower."""
-
-    upper: int
-    lower: int
+class Block(NamedTuple("Block", [("upper", int), ("lower", int)])):
+    """The block generator h^[upper,lower], a diapsis when upper == lower: the
+    pair (upper, lower) itself, with a __dict__ that caches its `text`."""
 
     text = _BlockText()
 
@@ -128,14 +126,14 @@ def _parsed_term(n: int, word: tuple[Generator, ...]) -> Term:
 class JonesNF:
     """Packed Jones normal form: circle power plus ascending block list.
 
-    Invariants: blocks are (upper, lower) pairs with lower <= upper, and both
-    the lower and the upper indices are strictly increasing along the list.
+    Invariants: blocks are `Block`s (plain pairs given become `Block`s) with
+    lower <= upper, and both indices increase strictly along the list.
     circles == 0 with no blocks encodes the unit.
     """
 
     n: int
     circles: int = 0
-    blocks: tuple[tuple[int, int], ...] = ()
+    blocks: tuple[Block, ...] = ()
 
     def __post_init__(self) -> None:
         _check_int(self.n, "monoid size", 2)
@@ -146,7 +144,8 @@ class JonesNF:
             raise DomainError(f"blocks must be iterable, got {self.blocks!r}") from None
         if not all(isinstance(p, (tuple, list)) and len(p) == 2 for p in blocks):
             raise DomainError("blocks must be (upper, lower) pairs")
-        object.__setattr__(self, "blocks", tuple(tuple(p) for p in blocks))
+        blocks = tuple(p if isinstance(p, Block) else tuple.__new__(Block, p) for p in blocks)
+        object.__setattr__(self, "blocks", blocks)
         prev_b = prev_a = 0
         for b, a in self.blocks:
             _check_block(self.n, b, a)
@@ -178,7 +177,7 @@ def measure_word(word: tuple[Generator, ...]) -> Measure:
     pairs: list[tuple[int, int]] = []  # (upper, lower) of the blocks read so far
     for g in word:
         if isinstance(g, Block):
-            b, a = g.upper, g.lower
+            b, a = g
             n1 += b - a + 2
             for upper, lower in pairs:
                 if upper >= b or lower >= a:
@@ -191,5 +190,4 @@ def measure_word(word: tuple[Generator, ...]) -> Measure:
 
 def nf_to_term(f: JonesNF) -> Term:
     """The word c^circles followed by the blocks, in order."""
-    word = (CIRCLE,) * f.circles + tuple(Block(b, a) for b, a in f.blocks)
-    return Term(f.n, word)
+    return Term(f.n, (CIRCLE,) * f.circles + f.blocks)

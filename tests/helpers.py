@@ -11,12 +11,15 @@ serializes it: the byte-for-byte reference for `render`'s text writer.
 
 from __future__ import annotations
 
+import importlib.util
 import math
 import random
+import sys
 import xml.etree.ElementTree as ET
 from collections import defaultdict
 from dataclasses import dataclass
 from itertools import combinations
+from pathlib import Path
 
 from hypothesis import strategies as st
 
@@ -476,3 +479,17 @@ def is_jones_shape(t: Term) -> bool:
     uppers = [g.upper for g in blocks]
     lowers = [g.lower for g in blocks]
     return (sorted(set(uppers)) == uppers and sorted(set(lowers)) == lowers)
+
+
+def workload_requests(workload: str, seed: int) -> list:
+    """The request list of one pass of a benchmark workload, built by
+    `perfbench/workloads.py`, which is loaded from its file each call."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = workloads  # dataclasses look their module up by name
+    try:
+        spec.loader.exec_module(workloads)
+    finally:
+        del sys.modules[spec.name]
+    return workloads.build(workload, seed)

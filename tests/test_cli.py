@@ -1,5 +1,4 @@
 import argparse
-import importlib.util
 import io
 import json
 import os
@@ -39,7 +38,8 @@ from kauffman.cli import EXIT_CLOSED_PIPE, WRITE_CHUNK, main
 from kauffman.draw import _split, render_ascii, render_pieces
 from kauffman.selftest import random_term
 
-from helpers import naive_rightmost_steps, nested, side_by_side, staircase, terms_st
+from helpers import (naive_rightmost_steps, nested, side_by_side, staircase, terms_st,
+                     workload_requests)
 
 WORKED_EXAMPLE = "c^6 h[3,1] h[4,4] h[7,7] h[9,8] h[10,9]"
 
@@ -817,23 +817,10 @@ def test_each_call_declares_enough_to_parse_as_the_full_parser(argv):
     assert_parsed_as_by_the_full_parser(argv)
 
 
-def _workload_argvs(workload: str) -> list[list[str]]:
-    """Every argv of a benchmark workload's request list, on the default seed."""
-    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
-    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
-    workloads = importlib.util.module_from_spec(spec)
-    sys.modules[spec.name] = workloads  # dataclasses look their module up by name
-    try:
-        spec.loader.exec_module(workloads)
-    finally:
-        del sys.modules[spec.name]
-    return [list(req.argv) for req in workloads.build(workload, 1)]
-
-
 @pytest.mark.parametrize("workload", ["terms", "to-diagram", "from-diagram"])
 def test_every_workload_argv_parses_as_by_the_full_parser(workload):
-    for argv in _workload_argvs(workload):
-        assert_parsed_as_by_the_full_parser(argv)
+    for req in workload_requests(workload, 1):  # the default seed
+        assert_parsed_as_by_the_full_parser(list(req.argv))
 
 
 def test_a_command_not_named_gets_a_bare_subparser():

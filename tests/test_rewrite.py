@@ -243,7 +243,7 @@ def candidate_right_hand_sides(rhs, x, y):
     for tag in RULE_TAGS:
         try:
             yield rhs(x, y, tag)
-        except AttributeError:  # a block rule reads y's indices, and y is a circle
+        except TypeError:  # a block rule unpacks y's indices, and y is a circle
             pass
     yield from ([x, y], [y, x], (x, y), (y, x), (x,), (y,), (), [CIRCLE, x], (Circle(), x),
                 (x, CIRCLE), (CIRCLE, y), (y, x, CIRCLE), (CIRCLE, CIRCLE), (Block(1, 1), x))
@@ -272,7 +272,19 @@ def test_step_check_agrees_with_measure_word_on_every_pair_and_mutant(monkeypatc
                     assert str(err.value) == (f"measure did not decrease for {tag} at 0: "
                                               f"pair {tuple(before)} -> {tuple(after)}")
                 checked += 1
-    assert checked > 4000
+    assert checked == 6734  # every candidate of every redex pair, none dropped
+
+
+@pytest.mark.parametrize("word", [(Block(1, 1), CIRCLE), (Block(2, 1), Block(1, 1))])
+def test_a_word_the_kernel_leaves_unreduced_is_an_internal_error(monkeypatch, word):
+    """A circle right of a block, or a redex, left in the trace's final word."""
+    def no_rewriting(word, trace=False):
+        yield from ()
+        return 0
+
+    monkeypatch.setattr(rewrite, "_reduce", no_rewriting)
+    with pytest.raises(ConsistencyError, match="reduced word is not a normal form"):
+        list(rewrite_steps(Term(3, word)))
 
 
 @settings(max_examples=150)

@@ -1,3 +1,6 @@
+import copy
+import pickle
+
 import pytest
 from hypothesis import given
 
@@ -192,6 +195,42 @@ def test_jones_nf_refuses_a_block_of_three_items():
 def test_jones_nf_refuses_a_block_that_is_not_a_pair():
     with pytest.raises(DomainError):
         JonesNF(4, 0, (3,))
+
+
+@pytest.mark.parametrize("duplicate", [
+    copy.copy, copy.deepcopy, lambda value: pickle.loads(pickle.dumps(value))])
+@pytest.mark.parametrize("value", [
+    Block(3, 2), Term(4, (Block(3, 2), CIRCLE, Block(1, 1))), JonesNF(4, 2, ((1, 1), (3, 2)))])
+def test_blocks_terms_and_normal_forms_copy_and_pickle_as_values(duplicate, value):
+    twin = duplicate(value)
+    assert twin == value and type(twin) is type(value)
+    assert repr(twin) == repr(value)
+
+
+@pytest.mark.parametrize("index", ["upper", "lower"])
+def test_a_block_prints_its_indices_by_name_and_refuses_new_ones(index):
+    block = Block(3, 2)
+    assert repr(block) == "Block(upper=3, lower=2)"
+    with pytest.raises(AttributeError):
+        setattr(block, index, 1)
+    assert block == Block(3, 2) and block.text == "h[3,2]"
+
+
+def test_a_plain_pair_in_a_word_is_not_a_generator():
+    with pytest.raises(DomainError, match="not a generator"):
+        Term(4, (Block(1, 1), (2, 1)))
+
+
+def test_a_normal_form_holds_blocks_given_blocks_or_pairs():
+    """A block is its (upper, lower) pair, and a normal form's blocks are
+    `Block`s however they were given."""
+    assert Block(3, 2) == (3, 2) and hash(Block(3, 2)) == hash((3, 2))
+    from_pairs, from_lists = JonesNF(5, 1, ((1, 1), (4, 2))), JonesNF(5, 1, [[1, 1], [4, 2]])
+    from_blocks = JonesNF(5, 1, (Block(1, 1), Block(4, 2)))
+    assert from_pairs == from_lists == from_blocks
+    for f in (from_pairs, from_lists, from_blocks):
+        assert [type(g) for g in f.blocks] == [Block, Block]
+        assert nf_to_term(f).word == (CIRCLE, Block(1, 1), Block(4, 2))
 
 
 @given(normal_forms_st())
