@@ -20,6 +20,7 @@ from typing import Iterator
 
 # is_planar_pairing is unused here, but perfbench/tracing.py patches this name.
 from .diagrams import Diagram, _build, is_planar_pairing  # noqa: F401
+from .rewrite import _pack
 from .terms import CIRCLE, Block, DomainError, JonesNF, Term, _check_int
 
 OPEN, CLOSE = "(", ")"
@@ -174,6 +175,6 @@ def enumerate_normal_forms(n: int, max_circles: int) -> Iterator[JonesNF]:
     _check_int(n, "monoid size", 2)
     _check_int(max_circles, "circle bound", 0)
     _check_count((max_circles + 1) * _catalan(n), "normal forms")
-    return (JonesNF(n, circles, blocks)
+    return (_pack(n, circles, blocks, "enumerated word")
             for circles in range(max_circles + 1)
             for blocks in _block_sequences(n))

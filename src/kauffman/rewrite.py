@@ -51,14 +51,16 @@ that follows the paper.  `rewrite_steps` serves `nf --trace`, and
 `normal_form` serves `semantics.decide_nf` on words of wide blocks, the
 cross-check of `decide_equal` and the oracles of the test suite and
 `selftest`; `term-of --method peel` rewrites nothing, since `peel`
-returns the normal-form word itself.
+returns the normal-form word itself.  `_pack` builds every normal form
+the library computes: a result that is not one is a ConsistencyError
+(CLI exit 3), not a bad input's DomainError (exit 2).
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
 # collections.abc's Generator, renamed: here a Generator is a generator of the monoid
-from collections.abc import Generator as Stream
+from collections.abc import Generator as Stream, Iterable
 from dataclasses import dataclass
 from operator import itemgetter
 from typing import NamedTuple
@@ -137,14 +139,12 @@ def _rhs(x: Generator, y: Generator, rule: str) -> tuple[Generator, ...]:
     raise ConsistencyError(f"unknown rule tag {rule!r}")
 
 
-def _pack(n: int, word: list[Generator]) -> JonesNF:
-    circles = 0
-    while circles < len(word) and isinstance(word[circles], Circle):
-        circles += 1
+def _pack(n: int, circles: int, blocks: Iterable, what: str) -> JonesNF:
+    """The one constructor of a computed normal form `what`; a refusal is a ConsistencyError."""
     try:
-        return JonesNF(n, circles, word[circles:])
-    except DomainError as e:  # a circle right of a block, or a redex left
-        raise ConsistencyError(f"reduced word is not a normal form: {e}") from None
+        return JonesNF(n, circles, blocks)
+    except DomainError as e:  # a circle right of a block, a redex left, an index out of range
+        raise ConsistencyError(f"{what} is not a normal form: {e}") from None
 
 
 def _reduce(word: list[Generator], trace: bool = False) -> Stream[RewriteStep, None, int]:
@@ -279,7 +279,8 @@ def rewrite_steps(t: Term) -> Stream[RewriteStep, None, JonesNF]:
     """
     word = list(t.word)
     yield from _reduce(word, True)
-    return _pack(t.n, word)
+    circles = next((k for k, g in enumerate(word) if not isinstance(g, Circle)), len(word))
+    return _pack(t.n, circles, word[circles:], "reduced word")
 
 
 def normalize(t: Term) -> NormalizationTrace:
@@ -307,7 +308,7 @@ def normal_form(t: Term) -> JonesNF:
         next(_reduce(word))  # yields nothing without trace
     except StopIteration as done:
         circles += done.value
-    return JonesNF(t.n, circles, word)
+    return _pack(t.n, circles, word, "reduced word")
 
 
 def format_step(step: RewriteStep) -> str:

@@ -68,7 +68,7 @@ from operator import ne
 
 # compose is unused here and delta_block only by the tests, but perfbench/tracing.py patches both.
 from .diagrams import Diagram, _build, compose, slope_points, slope_points_of, span  # noqa: F401
-from .rewrite import ConsistencyError, normal_form
+from .rewrite import ConsistencyError, _pack, normal_form
 from .syntax import MAX_WORD_LENGTH
 from .terms import Block, DomainError, JonesNF, Term, _check_int, nf_to_term
 
@@ -150,7 +150,7 @@ def _read_nf(n: int, mate: list[int] | _Mates, circles: int) -> JonesNF:
     and an untouched strand of a sparse map costs nothing.
     """
     top, bottom = slope_points_of(n, mate)
-    return JonesNF(n, circles, tuple(zip(bottom, top)))
+    return _pack(n, circles, zip(bottom, top), "slope reading")
 
 
 def delta(t: Term) -> Diagram:
@@ -229,8 +229,9 @@ def decide_equal(t: Term, u: Term, cross_check: bool = False) -> bool:
 
 def diagram_to_nf(d: Diagram) -> JonesNF:
     """Read the Jones normal form off the slope points."""
+    _check_int(d.n, "monoid size", 2)  # a Diagram may have one strand, no K_n has
     top, bottom = slope_points(d)
-    return JonesNF(d.n, d.circles, tuple(zip(bottom, top)))
+    return _pack(d.n, d.circles, zip(bottom, top), "slope reading")
 
 
 def _first_crossed(mate: list[int], n: int, j: int) -> tuple[int, int]:
@@ -262,8 +263,8 @@ def peel(d: Diagram) -> Term:
     of the normal form, whose adjacent blocks h^[b1,a1] h^[b2,a2] have
     b2 > b1 >= a1, so no descending run crosses a block boundary: the
     maximal runs j, j-1, ..., i of the indices, in word order, are its
-    blocks h^[j,i], grouped in O(span/2).  `JonesNF` checks that their
-    indices increase strictly, and a failure is a ConsistencyError.  A
+    blocks h^[j,i], grouped in O(span/2).  `rewrite._pack` checks that
+    their indices increase strictly, and a failure is a ConsistencyError.  A
     size below 2, or a size or span/2 over MAX_WORD_LENGTH, the bounds of
     `delta`, is refused before the first step.  Last, the word is stacked
     by `_rewire`, and its partner of every code and its circle count are
@@ -306,12 +307,8 @@ def peel(d: Diagram) -> Term:
             runs[-1][1] = j
         else:
             runs.append([j, j])
-    try:
-        nf = JonesNF(n, d.circles, runs)
-    except DomainError as e:
-        raise ConsistencyError(f"peeled word is not a normal form: {e}") from None
     del mate  # freed before the check stacks the peeled word
-    peeled = nf_to_term(nf)
+    peeled = nf_to_term(_pack(n, d.circles, runs, "peeled word"))
     built, circles = _rewire(peeled)
     codes = range(-n, n + 1)
     if circles != d.circles or any(map(ne, map(built.__getitem__, codes),

@@ -8,11 +8,14 @@ The unit is the empty word: associativity and the unit laws make
 parentheses and explicit unit symbols redundant, so neither is ever
 represented.
 
-A block is its pair (upper, lower) = (b, a): `Block` is a tuple.  Canonical
-words c^l h^[b_1,a_1] ... h^[b_k,a_k] with a_1 < ... < a_k and
+A block is its pair (upper, lower) = (b, a): `Block` is a tuple.
+Canonical words c^l h^[b_1,a_1] ... h^[b_k,a_k] with a_1 < ... < a_k and
 b_1 < ... < b_k are Jones normal forms; `JonesNF` holds the circle count
-and the word's blocks, and `Measure` is the lexicographic complexity
-measure that the rewrite engine drives to a minimum.
+and the word's blocks, checked in one pass, and `rewrite._pack` builds
+every normal form the library computes.  `Measure` is the lexicographic
+complexity measure that the rewrite engine drives to a minimum.  The
+parser and `nf_to_term` build their terms by `_parsed_term`, without a
+second check.
 """
 
 from __future__ import annotations
@@ -113,8 +116,8 @@ def _parsed_term(n: int, word: tuple[Generator, ...]) -> Term:
     """The Term of K_n over `word`, without `Term`'s walk over the word.
 
     Precondition: n is an int >= 2, and `word` is a tuple whose every
-    generator is CIRCLE or a Block that `make_block` has checked for K_n,
-    as `parse` builds them.
+    generator is CIRCLE or a Block checked for K_n, as `parse` builds
+    them and as a `JonesNF`'s blocks are (`nf_to_term`).
     """
     t = object.__new__(Term)
     object.__setattr__(t, "n", n)
@@ -136,24 +139,26 @@ class JonesNF:
     blocks: tuple[Block, ...] = ()
 
     def __post_init__(self) -> None:
-        _check_int(self.n, "monoid size", 2)
+        _check_int(n := self.n, "monoid size", 2)
         _check_int(self.circles, "circle count", 0)
         try:
-            blocks = tuple(self.blocks)
+            blocks = list(self.blocks)
         except TypeError:
             raise DomainError(f"blocks must be iterable, got {self.blocks!r}") from None
-        if not all(isinstance(p, (tuple, list)) and len(p) == 2 for p in blocks):
-            raise DomainError("blocks must be (upper, lower) pairs")
-        blocks = tuple(p if isinstance(p, Block) else tuple.__new__(Block, p) for p in blocks)
-        object.__setattr__(self, "blocks", blocks)
         prev_b = prev_a = 0
-        for b, a in self.blocks:
-            _check_block(self.n, b, a)
-            if a <= prev_a:
-                raise DomainError(f"lower indices must increase strictly: {prev_a} then {a}")
-            if b <= prev_b:
+        for k, p in enumerate(blocks):  # one pass: the first fault in list order is reported
+            if not isinstance(p, Block):
+                if not isinstance(p, (tuple, list)) or len(p) != 2:
+                    raise DomainError("blocks must be (upper, lower) pairs")
+                p = blocks[k] = tuple.__new__(Block, p)
+            b, a = p
+            if not (type(b) is int and type(a) is int and prev_a < a <= b < n and prev_b < b):
+                _check_block(n, b, a)
+                if a <= prev_a:
+                    raise DomainError(f"lower indices must increase strictly: {prev_a} then {a}")
                 raise DomainError(f"upper indices must increase strictly: {prev_b} then {b}")
             prev_b, prev_a = b, a
+        object.__setattr__(self, "blocks", tuple(blocks))
 
 
 class Measure(NamedTuple):
@@ -190,4 +195,4 @@ def measure_word(word: tuple[Generator, ...]) -> Measure:
 
 def nf_to_term(f: JonesNF) -> Term:
     """The word c^circles followed by the blocks, in order."""
-    return Term(f.n, (CIRCLE,) * f.circles + f.blocks)
+    return _parsed_term(f.n, (CIRCLE,) * f.circles + f.blocks)

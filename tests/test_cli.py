@@ -33,7 +33,7 @@ from kauffman import (
     rewrite,
     to_json_dict,
 )
-from kauffman import cli, selftest
+from kauffman import cli, selftest, semantics
 from kauffman.cli import EXIT_CLOSED_PIPE, WRITE_CHUNK, main
 from kauffman.draw import _split, render_ascii, render_pieces
 from kauffman.selftest import random_term
@@ -306,6 +306,30 @@ def test_nf_trace_exit_3_inside_a_circle_run_keeps_the_lines_before_the_failure(
     code, out, err = run(capsys, "nf", "-n", "7", "--trace", "h1 h2 h3 h4 h5 h6 c")
     assert (code, out) == (3, "".join(full.splitlines(keepends=True)[:2]))
     assert err == "internal error: measure did not decrease for hcI at 3: pair (2, 1) -> (2, 1)\n"
+
+
+def _no_rewriting(word, trace=False):
+    yield from ()
+    return 0
+
+
+@pytest.mark.parametrize("argv", [
+    ("nf", "-n", "40", "h[39,1] h[39,1] h[39,1]"),  # wide blocks: decide_nf rewrites them
+    ("eq", "--cross-check", "-n", "3", "h[2,1] h1", "h2"),
+])
+def test_a_word_the_kernel_leaves_unreduced_exits_3(capsys, monkeypatch, argv):
+    monkeypatch.setattr(rewrite, "_reduce", _no_rewriting)
+    assert run(capsys, *argv) == (3, "", "internal error: reduced word is not a normal form: "
+                                         "lower indices must increase strictly: 1 then 1\n")
+
+
+def test_a_slope_reading_that_is_not_a_normal_form_exits_3(capsys, monkeypatch):
+    slope_points = semantics.slope_points
+    monkeypatch.setattr(semantics, "slope_points", lambda d: slope_points(d)[::-1])
+    monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(to_json_dict(delta(parse("h[2,1]", 3))))))
+    assert run(capsys, "term-of", "--method", "slope") == (
+        3, "", "internal error: slope reading is not a normal form: "
+               "lower block index 2 exceeds upper index 1\n")
 
 
 @pytest.mark.parametrize("argv", [("enum", "-n", "9", "--pairings"),
@@ -873,7 +897,7 @@ def test_selftest_writes_to_the_stdout_of_the_call():
     with redirect_stdout(out):
         code = main(["selftest"])
     assert code == 0
-    assert len(selftest.CHECKS) == 7
+    assert len(selftest.CHECKS) == 6
     assert out.getvalue() == "".join(f"ok   {name}\n" for name, _ in selftest.CHECKS)
 
 

@@ -275,16 +275,21 @@ def test_step_check_agrees_with_measure_word_on_every_pair_and_mutant(monkeypatc
     assert checked == 6734  # every candidate of every redex pair, none dropped
 
 
-@pytest.mark.parametrize("word", [(Block(1, 1), CIRCLE), (Block(2, 1), Block(1, 1))])
-def test_a_word_the_kernel_leaves_unreduced_is_an_internal_error(monkeypatch, word):
-    """A circle right of a block, or a redex, left in the trace's final word."""
+@pytest.mark.parametrize("reduce_, word", [
+    (lambda t: list(rewrite_steps(t)), (Block(1, 1), CIRCLE)),
+    (lambda t: list(rewrite_steps(t)), (Block(2, 1), Block(1, 1))),
+    (normal_form, (Block(2, 1), Block(1, 1))),
+    (normal_form, (Block(1, 1), CIRCLE, Block(1, 1))),
+], ids=["trace-circle", "trace-redex", "normal-form-redex", "normal-form-hcII"])
+def test_a_word_the_kernel_leaves_unreduced_is_an_internal_error(monkeypatch, reduce_, word):
+    """A circle right of a block, or a redex, left in the final word."""
     def no_rewriting(word, trace=False):
         yield from ()
         return 0
 
     monkeypatch.setattr(rewrite, "_reduce", no_rewriting)
     with pytest.raises(ConsistencyError, match="reduced word is not a normal form"):
-        list(rewrite_steps(Term(3, word)))
+        reduce_(Term(3, word))
 
 
 @settings(max_examples=150)

@@ -37,6 +37,7 @@ from kauffman import (
 from kauffman import semantics
 from kauffman.diagrams import is_planar_pairing
 from kauffman.draw import _split
+from kauffman.rewrite import _pack
 from kauffman.semantics import DIAGRAM_ROUTE_WIDTH, _first_crossed, _rewire, _stack, delta_block
 from kauffman.syntax import MAX_WORD_LENGTH
 
@@ -643,7 +644,7 @@ def _rewires_the_cup_below(mate, n, j):
     ("_rewire", lambda t: _rewire(Term(t.n)), "does not evaluate"),
     ("_rewire", _one_circle_more, "does not evaluate"),
     ("_first_crossed", _rewires_the_cup_below, r"stacked cup \(2, 3\) was rewired"),
-    ("JonesNF", lambda n, circles, blocks: JonesNF(n, circles, blocks[::-1]),
+    ("_pack", lambda n, circles, blocks, what: _pack(n, circles, blocks[::-1], what),
      "peeled word is not a normal form: lower indices must increase strictly"),
 ], ids=["scan", "stack", "span", "rewire", "circles", "stale-cup", "nf-order"])
 def test_peel_checks_raise_consistency_error(monkeypatch, name, fault, message):

@@ -1,9 +1,12 @@
+import ast
 import copy
 import pickle
+from pathlib import Path
 
 import pytest
 from hypothesis import given
 
+import kauffman
 from kauffman import (
     CIRCLE,
     Block,
@@ -195,6 +198,41 @@ def test_jones_nf_refuses_a_block_of_three_items():
 def test_jones_nf_refuses_a_block_that_is_not_a_pair():
     with pytest.raises(DomainError):
         JonesNF(4, 0, (3,))
+
+
+@pytest.mark.parametrize("blocks, message", [
+    ([(5, 1), "x"], "upper block index must be <= n-1 = 2, got 5"),
+    ([(2, 1), (1, 1), 7], "lower indices must increase strictly: 1 then 1"),
+])
+def test_jones_nf_reports_the_first_fault_in_list_order(blocks, message):
+    # one pass over the blocks: a later non-pair does not mask an earlier fault
+    with pytest.raises(DomainError) as err:
+        JonesNF(3, 0, blocks)
+    assert str(err.value) == message
+
+
+def test_jones_nf_keeps_a_block_it_is_given_and_wraps_a_pair():
+    given_block = Block(1, 1)
+    f = JonesNF(4, 0, [given_block, (3, 2)])
+    assert f.blocks[0] is given_block and type(f.blocks[1]) is Block
+
+
+def _jones_nf_calls(tree):
+    return sum(isinstance(node, ast.Call) and "JonesNF" in (getattr(node.func, "id", None),
+                                                           getattr(node.func, "attr", None))
+               for node in ast.walk(tree))
+
+
+def test_only_rewrite_pack_builds_a_normal_form():
+    """Every normal form the library computes goes through `rewrite._pack`,
+    so a refusal is always an internal error."""
+    package = Path(kauffman.__file__).parent
+    trees = {path.name: ast.parse(path.read_text()) for path in package.glob("*.py")}
+    calls = {name: _jones_nf_calls(tree) for name, tree in trees.items()}
+    pack, = (node for node in ast.walk(trees["rewrite.py"])
+             if isinstance(node, ast.FunctionDef) and node.name == "_pack")
+    assert {name: k for name, k in calls.items() if k} == {"rewrite.py": 1}
+    assert _jones_nf_calls(pack) == 1
 
 
 @pytest.mark.parametrize("duplicate", [
