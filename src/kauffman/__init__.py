@@ -21,8 +21,6 @@ from .enumeration import (
     enumerate_normal_forms,
     enumerate_pairings,
     enumerate_terms,
-    pairing_to_parenword,
-    parenword_to_pairing,
 )
 from .rewrite import (
     ConsistencyError,

@@ -23,7 +23,6 @@ from .diagrams import Diagram, _build, is_planar_pairing  # noqa: F401
 from .rewrite import _pack
 from .terms import CIRCLE, Block, DomainError, JonesNF, Term, _check_int
 
-OPEN, CLOSE = "(", ")"
 MAX_ENUMERATION = 10**5  # most objects one enumeration or count may produce
 
 
@@ -93,42 +92,6 @@ def count_pairings(n: int) -> int:
 def enumerate_pairings(n: int) -> Pairings:
     """All circle-free planar diagrams on n strands (Catalan many), streamed."""
     return Pairings(n, count_pairings(n))
-
-
-def pairing_to_parenword(d: Diagram) -> str:
-    """Read the pairing as a balanced bracket word in code order."""
-    if d.circles != 0:
-        raise DomainError("parenthetical words encode circle-free diagrams only")
-    mates = d.mates
-    return "".join(
-        OPEN if mates[code] > code else CLOSE
-        for code in (*range(-d.n, 0), *range(1, d.n + 1))
-    )
-
-
-def parenword_to_pairing(word: str, n: int) -> Diagram:
-    """Inverse of pairing_to_parenword; the word must balance with 2n symbols."""
-    _check_int(n, "diagram size", 1)
-    if not isinstance(word, str):
-        raise DomainError(f"parenthetical word must be a string, got {word!r}")
-    if len(word) != 2 * n:
-        raise DomainError(f"expected {2 * n} symbols, got {len(word)}")
-    codes = (*range(-n, 0), *range(1, n + 1))
-    stack: list[int] = []
-    mates = [0] * (2 * n + 1)
-    for code, symbol in zip(codes, word):
-        if symbol == OPEN:
-            stack.append(code)
-        elif symbol == CLOSE:
-            if not stack:
-                raise DomainError("unbalanced parenthetical word")
-            mates[code] = opener = stack.pop()
-            mates[opener] = code
-        else:
-            raise DomainError(f"not a parenthesis: {symbol!r}")
-    if stack:
-        raise DomainError("unbalanced parenthetical word")
-    return _build(n, mates, 0)
 
 
 def enumerate_terms(n: int, max_len: int) -> Iterator[Term]:

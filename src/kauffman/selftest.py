@@ -12,13 +12,7 @@ import random
 import sys
 from typing import Callable, TextIO
 
-from .enumeration import (
-    enumerate_normal_forms,
-    enumerate_pairings,
-    enumerate_terms,
-    pairing_to_parenword,
-    parenword_to_pairing,
-)
+from .enumeration import enumerate_normal_forms, enumerate_pairings, enumerate_terms
 from .rewrite import normal_form, normalize
 from .semantics import delta, diagram_to_nf, nf_by_diagram, peel
 from .syntax import format_term, parse
@@ -55,12 +49,6 @@ def _check_nf_bijection() -> None:
         _expect(list(map(diagram_to_nf, diagrams)) == forms, n)  # so delta is one-to-one
         flat, pairings = [d for d in diagrams if d.circles == 0], list(enumerate_pairings(n))
         _expect(len(flat) == len(pairings) == catalan and set(flat) == set(pairings), n)
-
-
-def _check_parenwords() -> None:
-    for n in range(1, 6):
-        for d in enumerate_pairings(n):
-            _expect(parenword_to_pairing(pairing_to_parenword(d), n) == d, d)
 
 
 def _check_word_problem() -> None:
@@ -106,7 +94,6 @@ def _check_parser(trials: int = 200) -> None:
 
 CHECKS: tuple[tuple[str, Callable[[], None]], ...] = (
     ("delta maps normal forms one-to-one onto pairings (n <= 5)", _check_nf_bijection),
-    ("parenthetical-word bijection (n <= 5)", _check_parenwords),
     ("word problem: diagram route agrees with rewriting (n = 3, length <= 4)",
      _check_word_problem),
     ("peeling agrees with slope extraction (n <= 4)", _check_peel),

@@ -36,7 +36,6 @@ from kauffman import (
     compose,
     delta,
     nf_to_term,
-    parenword_to_pairing,
     peel,
 )
 from kauffman.diagrams import is_planar_pairing
@@ -274,8 +273,8 @@ def normal_forms_st(draw, max_n: int = 8, max_circles: int = 3):
 def brute_force_pairings(n: int) -> list[Diagram]:
     """Planar pairings by exhausting every perfect matching of the 2n codes.
 
-    Independent of the bracket-word construction; the generation order is
-    already lexicographic on the canonical pair lists.
+    Independent of the library's recursive enumeration; the generation
+    order is already lexicographic on the canonical pair lists.
     """
     codes = (*range(-n, 0), *range(1, n + 1))
     results: list[Diagram] = []
@@ -409,13 +408,20 @@ def side_by_side(n: int) -> Diagram:
 
 
 def random_pairing(rng: random.Random, n: int, circles: int) -> Diagram:
-    """A planar pairing read off a random balanced bracket word, plus circles."""
-    word, opened = "", 0
-    while len(word) < 2 * n:
-        close = opened > len(word) - opened and (opened == n or rng.random() < 0.5)
-        word += ")" if close else "("
-        opened += not close
-    return Diagram(n, parenword_to_pairing(word, n).pairs, circles)
+    """A planar pairing read off a random balanced bracket word, plus circles.
+
+    Each code in code order opens a thread or closes the last one open:
+    it must close once all n are open, and may close, by a coin flip,
+    while any is open.
+    """
+    pairs: list[tuple[int, int]] = []
+    opened: list[int] = []
+    for code in (*range(-n, 0), *range(1, n + 1)):
+        if opened and (len(pairs) + len(opened) == n or rng.random() < 0.5):
+            pairs.append((opened.pop(), code))
+        else:
+            opened.append(code)
+    return Diagram(n, pairs, circles)
 
 
 def _naive_steps(t: Term, rightmost: bool):

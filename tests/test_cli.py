@@ -323,6 +323,23 @@ def test_a_word_the_kernel_leaves_unreduced_exits_3(capsys, monkeypatch, argv):
                                          "lower indices must increase strictly: 1 then 1\n")
 
 
+@pytest.mark.parametrize("argv", [
+    ("eq", "--cross-check", "-n", "3", "h1 h2 h1", "h1"),
+    ("nf", "--trace", "-n", "3", "c h2 h1 h2 h1"),
+])
+def test_a_rule_tag_the_table_does_not_know_exits_3(capsys, monkeypatch, argv):
+    classify = rewrite._classify
+
+    def renames_hII(x, y):
+        tag = classify(x, y)
+        return "hX" if tag == "hII" else tag
+
+    monkeypatch.setattr(rewrite, "_classify", renames_hII)
+    assert run(capsys, *argv) == (3, "", "internal error: unknown rule tag 'hX'\n")
+    # nf without --trace takes the diagram route, which fires no rule
+    assert run(capsys, "nf", "-n", "3", "h1 h2 h1") == (0, "h1\n", "")
+
+
 def test_a_slope_reading_that_is_not_a_normal_form_exits_3(capsys, monkeypatch):
     slope_points = semantics.slope_points
     monkeypatch.setattr(semantics, "slope_points", lambda d: slope_points(d)[::-1])
@@ -897,7 +914,7 @@ def test_selftest_writes_to_the_stdout_of_the_call():
     with redirect_stdout(out):
         code = main(["selftest"])
     assert code == 0
-    assert len(selftest.CHECKS) == 6
+    assert len(selftest.CHECKS) == 5
     assert out.getvalue() == "".join(f"ok   {name}\n" for name, _ in selftest.CHECKS)
 
 

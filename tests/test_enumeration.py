@@ -12,25 +12,11 @@ from kauffman import (
     enumerate_pairings,
     enumerate_terms,
     nf_to_term,
-    pairing_to_parenword,
-    parenword_to_pairing,
 )
 
 from kauffman.enumeration import count_pairings
 
-from helpers import brute_force_pairings, diapsis_diagram, identity
-
-
-def balanced_words(n: int) -> list[str]:
-    """All balanced bracket words with 2n symbols, by direct recursion."""
-    if n == 0:
-        return [""]
-    words = []
-    for inner in range(n):
-        for left in balanced_words(inner):
-            for right in balanced_words(n - 1 - inner):
-                words.append(f"({left}){right}")
-    return words
+from helpers import brute_force_pairings, identity
 
 
 def test_pairing_counts_are_catalan():
@@ -56,48 +42,8 @@ def test_pairings_come_out_sorted_and_circle_free():
         assert len(set(pool)) == len(pool)
 
 
-def test_parenword_of_identity_and_diapsis():
-    assert pairing_to_parenword(identity(2)) == "(())"
-    assert pairing_to_parenword(diapsis_diagram(2, 1)) == "()()"
-
-
-def test_parenword_rejects_circles():
-    with pytest.raises(DomainError):
-        pairing_to_parenword(Diagram(2, identity(2).pairs, 1))
-
-
-@pytest.mark.parametrize("word, n", [
-    ("((((", 2),
-    ("))((", 2),
-    ("()", 2),
-    ("()[]", 2),
-])
-def test_parenword_parse_rejects_bad_words(word, n):
-    with pytest.raises(DomainError):
-        parenword_to_pairing(word, n)
-
-
-@pytest.mark.parametrize("word, n, message", [
-    ("()", "1", "diagram size must be an integer, got '1'"),
-    ("()", True, "diagram size must be an integer, got True"),
-    ("", 0, "diagram size must be >= 1, got 0"),
-    (None, 1, "parenthetical word must be a string, got None"),
-    (["(", ")"], 1, "parenthetical word must be a string, got ['(', ')']"),
-])
-def test_parenword_parse_refuses_wrong_types(word, n, message):
-    with pytest.raises(DomainError) as err:
-        parenword_to_pairing(word, n)
-    assert str(err.value) == message
-
-
-def test_parenword_bijection_up_to_seven():
-    for n in range(1, 8):
-        words = balanced_words(n)
-        diagrams = [parenword_to_pairing(w, n) for w in words]
-        assert len(set(diagrams)) == len(words)
-        for word, d in zip(words, diagrams):
-            assert pairing_to_parenword(d) == word
-    # the library order against the independent brute-force search
+def test_pairings_match_the_brute_force_search_up_to_seven():
+    # the library order against the independent search over every perfect matching
     for n in range(1, 8):
         assert list(enumerate_pairings(n)) == brute_force_pairings(n)
 

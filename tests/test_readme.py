@@ -1,7 +1,9 @@
 import re
 import shlex
+import types
 from pathlib import Path
 
+import kauffman
 from kauffman.cli import main
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -12,6 +14,23 @@ def test_readme_library_example_runs():
     match = re.search(r"^## Library\n\n```python\n(.*?)^```", README.read_text(), re.M | re.S)
     assert match, "README has no python block under '## Library'"
     exec(compile(match.group(1), str(README), "exec"), {})
+
+
+# what the package root exports; adding or removing API is a deliberate edit of this list
+PUBLIC_NAMES = """
+    Block CIRCLE Circle ConsistencyError Diagram DomainError Generator JonesNF Measure
+    NormalizationTrace ParseError RewriteStep Term compose decide_equal decide_nf delta
+    diagram_to_nf enumerate_normal_forms enumerate_pairings enumerate_terms format_step
+    format_term format_word from_json_dict make_block measure_word nf_by_diagram nf_to_term
+    normal_form normalize parse peel render rewrite_steps slope_points span to_json_dict
+""".split()
+
+
+def test_package_root_exports_exactly_the_pinned_names():
+    exported = {name for name, value in vars(kauffman).items()
+                if not name.startswith("_") and not isinstance(value, types.ModuleType)}
+    assert len(PUBLIC_NAMES) == 38
+    assert exported == set(PUBLIC_NAMES)
 
 
 def cli_examples() -> list[tuple[list[str], str]]:
